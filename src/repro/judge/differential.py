@@ -15,7 +15,7 @@ import numpy as np
 
 from ..lang.parser import parse
 from .errors import JudgeError
-from .interp import Interpreter
+from .interp import Interpreter, compile_program
 
 __all__ = ["DifferentialReport", "differential_check", "seeded_inputs"]
 
@@ -48,14 +48,14 @@ def differential_check(source_a: str, source_b: str,
     """
     if not inputs:
         raise ValueError("differential_check needs at least one input")
-    unit_a = parse(source_a)
-    unit_b = parse(source_b)
+    programs = (compile_program(parse(source_a)),
+                compile_program(parse(source_b)))
     report = DifferentialReport()
     for index, input_text in enumerate(inputs):
         outputs = []
-        for unit in (unit_a, unit_b):
-            interp = (Interpreter(unit) if max_cycles is None
-                      else Interpreter(unit, max_cycles=max_cycles))
+        for program in programs:
+            interp = (Interpreter(program) if max_cycles is None
+                      else Interpreter(program, max_cycles=max_cycles))
             try:
                 outputs.append(interp.run(input_text).stdout)
             except JudgeError as error:

@@ -14,7 +14,7 @@ from enum import Enum
 from ..lang.parser import parse
 from .cost import CostModel
 from .errors import JudgeError, TimeLimitExceeded
-from .interp import Interpreter
+from .interp import Interpreter, compile_program
 from .machine import MachineProfile
 
 __all__ = ["Verdict", "TestCase", "JudgeReport", "Judge"]
@@ -97,11 +97,11 @@ class Judge:
             raise ValueError("judge needs at least one test case")
         report = JudgeReport(verdict=Verdict.OK)
         max_cycles = self.machine.time_limit_cycles(self.time_limit_ms)
+        program = compile_program(unit, self.cost_model)
         for index, test in enumerate(tests):
-            interp = Interpreter(unit, cost_model=self.cost_model,
-                                 max_cycles=max_cycles)
             try:
-                result = interp.run(test.input_text)
+                result = Interpreter(program, max_cycles=max_cycles).run(
+                    test.input_text)
             except TimeLimitExceeded:
                 report.verdict = Verdict.TIME_LIMIT_EXCEEDED
                 report.failed_test = index

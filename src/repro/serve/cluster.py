@@ -227,6 +227,9 @@ class ClusterServer:
                 conn.sendall(payload)
 
         try:
+            # Replies are small writes: with Nagle's algorithm on, each one
+            # waits for the client's next request to acknowledge the last.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with conn.makefile("r", encoding="utf-8",
                                errors="replace") as stream:
                 for line in stream:

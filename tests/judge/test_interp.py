@@ -68,6 +68,34 @@ class TestScalars:
         assert out == "7"
 
 
+class TestOperatorsComputeOnlyTheRequestedResult:
+    """Each operator computes its own result only: evaluating every
+    alternative used to crash the judge on valid C++."""
+
+    def test_and_with_negative_operand(self):
+        # evaluating a << -1 as well would raise ValueError
+        assert run("int main() { int a = 12; cout << (a & -1); }") == "12"
+
+    def test_compound_and_with_negative_operand(self):
+        assert run("int main() { int a = 12; a &= -1; cout << a; }") == "12"
+
+    def test_and_with_huge_mask(self):
+        # evaluating a << 2**40 as well would raise MemoryError
+        out = run("int main() { long long a = 12; "
+                  "cout << (a & 1099511627776LL); }")
+        assert out == "0"
+
+    def test_int_compared_with_char_by_character_code(self):
+        # Python's '<' between int and str raises TypeError
+        out = run("int main() { int a = 7; char c = 'a'; "
+                  "cout << (a < c) << (a > c) << (98 > c); }")
+        assert out == "101"
+
+    def test_int_literal_equals_char_literal(self):
+        out = run("int main() { cout << (7 == 'a') << (97 == 'a'); }")
+        assert out == "01"
+
+
 class TestControlFlow:
     def test_for_loop_sum(self):
         out = run("int main() { int s = 0; "

@@ -1,5 +1,8 @@
 """Tests for the judge runner and machine profile."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,3 +103,59 @@ class TestJudge:
     def test_needs_tests(self):
         with pytest.raises(ValueError):
             self.make_judge().judge_source(ADD_PROGRAM, [])
+
+
+class TestRecursionLimit:
+    """The judge raises Python's recursion limit only while it runs."""
+
+    DEPTH_PROGRAM = ("void down(int n) { if (n > 1) down(n - 1); }"
+                     "int main() { int d; cin >> d; down(d); cout << d; }")
+
+    @pytest.fixture
+    def default_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield 1000
+        sys.setrecursionlimit(saved)
+
+    def judge_depth(self, depth: int):
+        return Judge().judge_source(self.DEPTH_PROGRAM,
+                                    [JudgeTest(str(depth), str(depth))])
+
+    def test_limit_restored_after_judging(self, default_limit):
+        report = self.judge_depth(3999)
+        assert report.verdict is Verdict.OK
+        assert sys.getrecursionlimit() == default_limit
+
+    def test_limit_restored_after_a_fault(self, default_limit):
+        report = self.judge_depth(4001)
+        assert report.verdict is Verdict.RUNTIME_ERROR
+        assert report.message == "stack overflow: recursion too deep"
+        assert sys.getrecursionlimit() == default_limit
+
+    def test_higher_caller_limit_left_alone(self, default_limit):
+        sys.setrecursionlimit(70_000)
+        assert self.judge_depth(50).verdict is Verdict.OK
+        assert sys.getrecursionlimit() == 70_000
+
+    def test_concurrent_runs_keep_the_raised_limit(self, default_limit):
+        """No thread restores the caller's limit while another thread's
+        run still needs the raised one."""
+        verdicts = []
+
+        def judge():
+            verdicts.append(self.judge_depth(3999).verdict)
+
+        threads = [threading.Thread(target=judge) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert verdicts == [Verdict.OK] * 4
+        assert sys.getrecursionlimit() == default_limit

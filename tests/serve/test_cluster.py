@@ -76,6 +76,19 @@ def checkpoint(model, tmp_path_factory):
     return save_checkpoint(model, root / "model.npz")
 
 
+def _accepted_end(server, client: socket.socket) -> socket.socket:
+    """The front door's socket for ``client``, found under the lock that
+    keeps it open while it is in the connection set."""
+    with server._conns_lock:
+        for conn in server._conns:
+            try:
+                if conn.getpeername() == client.getsockname():
+                    return conn
+            except OSError:
+                continue                # another test's client hung up
+    raise AssertionError("connection not accepted")
+
+
 class TestClusterEquivalence:
     """Answers through the pool == the single-process service, 1e-8."""
 
@@ -134,6 +147,9 @@ class TestClusterEquivalence:
             raw.sendall(b"{definitely not json\n")
             reply = json.loads(stream.readline())
             assert reply["ok"] is False and reply["code"] == "bad_json"
+            # replies are not held back by Nagle's algorithm
+            assert _accepted_end(server, raw).getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY)
             raw.sendall(b"[1, 2, 3]\n")
             reply = json.loads(stream.readline())
             assert reply["ok"] is False and reply["code"] == "bad_json"
