@@ -17,7 +17,7 @@ contiguous::
 
     python benchmarks/run_microbench.py --pr 7 --backends numpy64,numpy32
 
-Backends that cannot run here (e.g. ``numba`` without the dependency)
+Backends that cannot run here (e.g. ``cnative`` without a C compiler)
 are skipped with a notice instead of silently benchmarking the
 fallback. The first corpus build takes a couple of minutes; it is
 cached under ``.corpus_cache/`` and subsequent runs reload in

@@ -59,9 +59,8 @@ from pathlib import Path
 from .corpus import Collector, SubmissionDatabase, family_for_tag, mp_families
 from .core import (
     ENCODER_KINDS, ExperimentConfig, PerformanceGate, TrainConfig,
-    build_model, run_experiment,
+    run_experiment,
 )
-from .nn.serialize import load_state
 from .viz import table
 
 __all__ = ["main", "build_parser"]
@@ -111,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="machine-readable report on stdout")
 
     backend_help = ("kernel backend: numpy64 (default), numpy32 "
-                    "(float32 end-to-end), numba (JIT kernels, if "
-                    "installed), cnative (self-compiled C kernels, if a "
-                    "C compiler is on hand); overrides REPRO_BACKEND")
+                    "(float32 end-to-end), cnative (self-compiled C "
+                    "kernels, if a C compiler is on hand); overrides "
+                    "REPRO_BACKEND")
 
     train = sub.add_parser("train", help="train a comparative model")
     train.add_argument("--backend", default=None, help=backend_help)
@@ -446,36 +445,17 @@ def _cmd_train(args) -> int:
     written = engine.save_checkpoint(
         args.out, extra=dict(extra, epochs=engine.state.epoch,
                              accuracy=result.evaluation.accuracy))
-    # legacy sidecar, kept for pre-checkpoint tooling
-    meta = {"encoder": config.encoder_kind,
-            "embedding_dim": config.embedding_dim,
-            "hidden": config.hidden_size, "seed": config.seed,
-            "accuracy": result.evaluation.accuracy}
-    Path(args.out).with_suffix(".json").write_text(json.dumps(meta))
     resumed = f" (resumed from {args.resume})" if args.resume else ""
     print(f"trained on {len(subs)} submissions; held-out accuracy="
           f"{result.evaluation.accuracy:.3f}; model -> {written}{resumed}")
     return 0
 
 
-def _load_model(path, cast=False):
-    """Versioned checkpoint, or the legacy npz + sidecar-JSON layout."""
-    from .serve.checkpoint import NotACheckpointError, load_checkpoint
-
-    try:
-        return load_checkpoint(path, cast=cast)
-    except NotACheckpointError:
-        meta = json.loads(Path(path).with_suffix(".json").read_text())
-        model = build_model(encoder_kind=meta["encoder"],
-                            embedding_dim=meta["embedding_dim"],
-                            hidden_size=meta["hidden"], seed=meta["seed"])
-        model.load_state_dict(load_state(path))
-        return model
-
-
 def _cmd_predict(args) -> int:
+    from .serve.checkpoint import load_checkpoint
+
     _apply_backend(args)
-    gate = PerformanceGate(_load_model(args.model, cast=args.cast),
+    gate = PerformanceGate(load_checkpoint(args.model, cast=args.cast),
                            flag_threshold=args.threshold)
     old_source = Path(args.old).read_text()
     new_source = Path(args.new).read_text()

@@ -67,18 +67,17 @@ class GcnEncoder(Module):
 
     def __init__(self, vocab_size: int, embedding_dim: int = 120,
                  hidden_size: int = 117, num_layers: int = 6,
-                 readout: str = "mean",
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.embedding = Embedding(vocab_size, embedding_dim, rng=rng)
         self.gcn = GCN(embedding_dim, hidden_size, num_layers=num_layers,
-                       readout=readout, rng=rng)
+                       rng=rng)
         self.output_size = self.gcn.output_size
 
     def forward(self, features: TreeFeatures) -> Tensor:
         x = self.embedding(features.node_ids)
-        return self.gcn.encode(x, features.adjacency, root=features.root)
+        return self.gcn.encode(x, features.adjacency)
 
     def encode_batch(self, features_list: list[TreeFeatures]) -> Tensor:
         """Latent vectors for a whole batch, (T, hidden).
@@ -89,9 +88,7 @@ class GcnEncoder(Module):
         """
         node_ids = np.concatenate([f.node_ids for f in features_list])
         x = self.embedding(node_ids)
-        return self.gcn.encode_batch(x,
-                                     [f.adjacency for f in features_list],
-                                     [f.root for f in features_list])
+        return self.gcn.encode_batch(x, [f.adjacency for f in features_list])
 
     def node_states(self, features: TreeFeatures) -> Tensor:
         x = self.embedding(features.node_ids)

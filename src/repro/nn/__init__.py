@@ -2,37 +2,39 @@
 
 The paper assumes a deep-learning stack (tree-LSTM, GCN, embeddings,
 BCE training on a GPU). No such stack is available offline, so this
-package implements the required subset with reverse-mode autodiff:
+package implements exactly what the paper's models run, with
+reverse-mode autodiff:
 
 * :mod:`repro.nn.tensor` — autograd engine
-* :mod:`repro.nn.layers` — Linear / Embedding / Dropout / Sequential
+* :mod:`repro.nn.backend` — the kernel backends the hot ops dispatch to
+* :mod:`repro.nn.layers` — Linear / Embedding
 * :mod:`repro.nn.rnn` — sequential LSTM (paper eq. 3)
 * :mod:`repro.nn.treelstm` — child-sum tree-LSTM (paper eq. 4) and the
   uni/bi/alternating multi-layer stacks of Section IV-C
 * :mod:`repro.nn.gcn` — the GCN baseline encoder
-* :mod:`repro.nn.loss` / :mod:`repro.nn.optim` — objectives & optimizers
+* :mod:`repro.nn.loss` / :mod:`repro.nn.optim` — BCE and Adam
 """
 
-from . import backend, functional
+from . import backend
 from .gcn import GCN, GraphConv, normalized_adjacency
-from .layers import Dropout, Embedding, Linear, ReLU, Sequential, Sigmoid, Tanh
-from .loss import bce_with_logits, binary_cross_entropy, cross_entropy, mse_loss
+from .layers import Embedding, Linear
+from .loss import bce_with_logits
 from .module import Module, Parameter
-from .optim import SGD, AdaGrad, Adam, Optimizer, RMSProp, StepLR, clip_grad_norm
+from .optim import Adam, Optimizer, clip_grad_norm
 from .rnn import LSTM, LSTMCell
-from .serialize import load_module, load_state, save_module, save_state
+from .serialize import load_state, save_state
 from .tensor import Tensor, no_grad
 from .treelstm import (DIRECTIONS, ChildSumTreeLSTM, ForestSchedule,
                        TreeLSTMStack, TreeSchedule, schedule_for)
 
 __all__ = [
-    "Tensor", "no_grad", "Module", "Parameter", "functional", "backend",
-    "Linear", "Embedding", "Dropout", "Sequential", "Tanh", "ReLU", "Sigmoid",
+    "Tensor", "no_grad", "Module", "Parameter", "backend",
+    "Linear", "Embedding",
     "LSTM", "LSTMCell",
     "ChildSumTreeLSTM", "TreeLSTMStack", "TreeSchedule", "ForestSchedule",
     "schedule_for", "DIRECTIONS",
     "GCN", "GraphConv", "normalized_adjacency",
-    "bce_with_logits", "binary_cross_entropy", "cross_entropy", "mse_loss",
-    "Optimizer", "SGD", "Adam", "AdaGrad", "RMSProp", "StepLR", "clip_grad_norm",
-    "save_state", "load_state", "save_module", "load_module",
+    "bce_with_logits",
+    "Optimizer", "Adam", "clip_grad_norm",
+    "save_state", "load_state",
 ]

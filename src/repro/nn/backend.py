@@ -17,12 +17,6 @@ model code**:
   moments, and checkpoints (which record their dtype). Equivalence to
   the float64 reference holds at the documented ``tolerance`` (see
   ``docs/backends.md``).
-* ``numba`` — optional JIT kernels for segment-sum / gather / scatter
-  (float64, same summation order as ``numpy64`` so the 1e-8 suite
-  applies unchanged). Lazily imported; if numba is not installed the
-  backend is simply unavailable — selecting it raises
-  :class:`BackendUnavailableError`, and an ``REPRO_BACKEND=numba``
-  environment default silently falls back to ``numpy64``.
 * ``cnative`` — hand-written C kernels (``repro.nn.cnative``), compiled
   on first use with the system C compiler into a source-hash-keyed
   build cache and loaded via stdlib ``ctypes``. float64, accumulation
@@ -30,8 +24,10 @@ model code**:
   deterministic column-partitioned reductions make results bitwise
   identical for every ``REPRO_NUM_THREADS``. ctypes releases the GIL
   per call, so serve-tier threads overlap encodes for real. With no
-  compiler (and no cached build) the backend reports unavailable —
-  same fallback contract as ``numba``.
+  compiler (and no cached build) the backend is unavailable — selecting
+  it raises :class:`BackendUnavailableError`, and an
+  ``REPRO_BACKEND=cnative`` environment default falls back to
+  ``numpy64`` with a ``RuntimeWarning``.
 
 Selection: the ``REPRO_BACKEND`` environment variable at import, the
 ``--backend`` flag of ``repro train`` / ``repro serve``, or
@@ -152,7 +148,7 @@ class KernelBackend:
     The kernel implementations here are *exactly* the historical
     inlined code (same reduction order, same intermediate layout), so
     ``numpy64`` is a pure refactor. Subclasses override individual
-    kernels (``numba``) or just the dtype policy (``numpy32``).
+    kernels (``cnative``) or just the dtype policy (``numpy32``).
 
     Attributes
     ----------
@@ -426,70 +422,6 @@ class Numpy32Backend(KernelBackend):
     tolerance = 3e-4
 
 
-class NumbaBackend(Numpy64Backend):
-    """JIT segment-sum/gather/scatter kernels (float64).
-
-    The JIT kernels accumulate in the same edge order as the
-    ``reduceat`` sweep, so the 1e-8 equivalence bar applies unchanged.
-    numba is imported lazily on first selection; GEMMs stay on BLAS
-    (numba cannot beat it). 2-D operands hit the JIT kernels; any other
-    rank falls back to the NumPy implementations.
-    """
-
-    name = "numba"
-    tolerance = 1e-8
-    _kernels = None
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import numba  # noqa: F401
-            return True
-        except Exception:
-            return False
-
-    def _jit(self):
-        if NumbaBackend._kernels is None:
-            from . import _numba_kernels
-            NumbaBackend._kernels = _numba_kernels.compile_kernels()
-        return NumbaBackend._kernels
-
-    def segment_sum(self, data, segment_ids, num_segments):
-        if data.ndim != 2 or segment_ids.size == 0:
-            return super().segment_sum(data, segment_ids, num_segments)
-        out = np.zeros((num_segments, data.shape[1]), dtype=data.dtype)
-        self._jit()["segment_sum"](
-            np.ascontiguousarray(data),
-            np.ascontiguousarray(segment_ids, dtype=np.int64), out)
-        return out
-
-    def segment_sum_pair(self, a, b, segment_ids, num_segments):
-        if a.ndim != 2 or segment_ids.size == 0:
-            return super().segment_sum_pair(a, b, segment_ids, num_segments)
-        out = np.zeros((num_segments, 2 * a.shape[1]), dtype=a.dtype)
-        self._jit()["segment_sum_pair"](
-            np.ascontiguousarray(a), np.ascontiguousarray(b),
-            np.ascontiguousarray(segment_ids, dtype=np.int64), out)
-        return out
-
-    def take_rows(self, data, rows):
-        if data.ndim != 2 or rows.ndim != 1 or not data.flags.c_contiguous:
-            return super().take_rows(data, rows)
-        out = np.empty((rows.shape[0], data.shape[1]), dtype=data.dtype)
-        self._jit()["take_rows"](
-            data, np.ascontiguousarray(rows, dtype=np.int64), out)
-        return out
-
-    def scatter_add_rows(self, out, rows, values):
-        if (out.ndim != 2 or values.ndim != 2
-                or not out.flags.c_contiguous):
-            super().scatter_add_rows(out, rows, values)
-            return
-        self._jit()["scatter_add_rows"](
-            out, np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(values))
-
-
 class CNativeBackend(Numpy64Backend):
     """Self-compiled C kernels loaded via ctypes (float64).
 
@@ -651,7 +583,6 @@ def register(backend: KernelBackend) -> KernelBackend:
 
 register(Numpy64Backend())
 register(Numpy32Backend())
-register(NumbaBackend())
 register(CNativeBackend())
 
 _ACTIVE: KernelBackend = _REGISTRY["numpy64"]
@@ -723,9 +654,9 @@ def _init_from_env() -> None:
     try:
         set_backend(name)
     except BackendUnavailableError:
-        # The optional backend's dependency is missing: run on the
-        # default rather than refusing to import (CI legs and shared
-        # configs set REPRO_BACKEND=numba speculatively).
+        # cnative without a C compiler (or a cached build): run on the
+        # default rather than refusing to import, so one shared config
+        # still starts on a compiler-less host.
         warnings.warn(f"REPRO_BACKEND={name} is unavailable here; "
                       "falling back to numpy64", RuntimeWarning,
                       stacklevel=2)

@@ -7,8 +7,8 @@ is exactly the distinction the paper draws — GCN lacks the parent/child
 asymmetry that the tree-LSTM exploits.
 
 The adjacency is normalized once per graph as ``D^-1/2 (A + I) D^-1/2``.
-A wrapper readout layer combines node states into a code vector (the
-paper's "wrapper layer that combines information from an internal node's
+Mean pooling over the node states gives the code vector (the paper's
+"wrapper layer that combines information from an internal node's
 directly connected nodes" followed by pooling into the classifier).
 """
 
@@ -41,22 +41,18 @@ def normalized_adjacency(num_nodes: int, edges: list[tuple[int, int]]) -> np.nda
 
 
 class GraphConv(Module):
-    """One graph convolution: ``H' = act(Â H W + b)``."""
+    """One graph convolution: ``H' = relu(Â H W + b)``."""
 
     def __init__(self, in_features: int, out_features: int,
-                 activation: str = "relu",
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        if activation not in ("relu", "tanh", "none"):
-            raise ValueError(f"unknown activation {activation!r}")
         self.weight = Parameter(init.xavier_uniform((out_features, in_features), rng))
         self.bias = Parameter(np.zeros(out_features))
-        self.activation = activation
 
     def forward(self, h: Tensor, adj_norm: np.ndarray) -> Tensor:
-        out = Tensor.addmm(self.bias, Tensor(adj_norm).matmul(h), self.weight)
-        return self._activate(out)
+        return Tensor.addmm(self.bias, Tensor(adj_norm).matmul(h),
+                            self.weight).relu()
 
     def forward_packed(self, h: Tensor, adjs: list[np.ndarray],
                        offsets: np.ndarray) -> Tensor:
@@ -72,44 +68,33 @@ class GraphConv(Module):
         hw = h.matmul(self.weight.T)
         parts = [Tensor(adj).matmul(hw[int(a):int(b)])
                  for adj, a, b in zip(adjs, offsets[:-1], offsets[1:])]
-        out = Tensor.concat(parts, axis=0) + self.bias
-        return self._activate(out)
-
-    def _activate(self, out: Tensor) -> Tensor:
-        if self.activation == "relu":
-            return out.relu()
-        if self.activation == "tanh":
-            return out.tanh()
-        return out
+        return (Tensor.concat(parts, axis=0) + self.bias).relu()
 
 
 class GCN(Module):
-    """Stack of graph convolutions with mean/max readout.
+    """Stack of graph convolutions with mean-pooling readout.
 
     ``encode`` produces the code vector consumed by the pair classifier,
     mirroring :meth:`repro.nn.treelstm.TreeLSTMStack.encode`.
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 2,
-                 readout: str = "mean", rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if readout not in ("mean", "root", "meanmax"):
-            raise ValueError(f"unknown readout {readout!r}")
         rng = rng or np.random.default_rng(0)
         self.num_layers = num_layers
-        self.readout = readout
         self._layer_names = []
         in_dim = input_size
         for layer in range(num_layers):
-            conv = GraphConv(in_dim, hidden_size, activation="relu", rng=rng)
+            conv = GraphConv(in_dim, hidden_size, rng=rng)
             name = f"conv{layer}"
             self.register_module(name, conv)
             self._layer_names.append(name)
             in_dim = hidden_size
         self.hidden_size = hidden_size
-        self.output_size = 2 * hidden_size if readout == "meanmax" else hidden_size
+        self.output_size = hidden_size
 
     def forward(self, x: Tensor, adj_norm: np.ndarray) -> Tensor:
         h = x
@@ -117,24 +102,10 @@ class GCN(Module):
             h = self._modules[name](h, adj_norm)
         return h
 
-    def encode(self, x: Tensor, adj_norm: np.ndarray, root: int = 0) -> Tensor:
-        h = self.forward(x, adj_norm)
-        return self._readout(h, root)
+    def encode(self, x: Tensor, adj_norm: np.ndarray) -> Tensor:
+        return self.forward(x, adj_norm).mean(axis=0)
 
-    def _readout(self, h: Tensor, root: int) -> Tensor:
-        if self.readout == "root":
-            return h[root]
-        mean = h.mean(axis=0)
-        if self.readout == "mean":
-            return mean
-        # meanmax: concatenate mean pooling with a soft-max pooling proxy
-        # (hard max has sparse gradients; logsumexp keeps them dense).
-        mx = ((h - Tensor(h.data.max(axis=0))).exp().sum(axis=0)).log() \
-            + Tensor(h.data.max(axis=0))
-        return Tensor.concat([mean, mx], axis=0)
-
-    def encode_batch(self, x: Tensor, adjs: list[np.ndarray],
-                     roots: list[int]) -> Tensor:
+    def encode_batch(self, x: Tensor, adjs: list[np.ndarray]) -> Tensor:
         """Code vectors for a batch of graphs packed row-wise, (T, d).
 
         Mirrors :meth:`repro.nn.treelstm.TreeLSTMStack.root_states`: the
@@ -152,6 +123,6 @@ class GCN(Module):
         h = x
         for name in self._layer_names:
             h = self._modules[name].forward_packed(h, adjs, offsets)
-        codes = [self._readout(h[int(a):int(b)], root)
-                 for a, b, root in zip(offsets[:-1], offsets[1:], roots)]
+        codes = [h[int(a):int(b)].mean(axis=0)
+                 for a, b in zip(offsets[:-1], offsets[1:])]
         return Tensor.stack(codes, axis=0)

@@ -1,4 +1,4 @@
-"""Feed-forward building blocks: Linear, Embedding, Dropout, Sequential.
+"""Feed-forward building blocks: Linear and Embedding.
 
 The paper's node-embedding lookup (Section IV-B) is :class:`Embedding`;
 the classifier head (Section IV-D) is a :class:`Linear` with sigmoid.
@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import functional as F
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["Linear", "Embedding", "Dropout", "Sequential", "Tanh", "ReLU", "Sigmoid"]
+__all__ = ["Linear", "Embedding"]
 
 
 class Linear(Module):
@@ -29,7 +28,11 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias)
+        # The biased form is one fused addmm node (the backend's
+        # gemm_gates kernel).
+        if self.bias is not None:
+            return Tensor.addmm(self.bias, x, self.weight)
+        return x.matmul(self.weight.T)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
@@ -66,54 +69,3 @@ class Embedding(Module):
     def __repr__(self) -> str:
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"
 
-
-class Dropout(Module):
-    """Inverted dropout, active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self._rng)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._order: list[str] = []
-        for i, module in enumerate(modules):
-            name = f"layer{i}"
-            self.register_module(name, module)
-            self._order.append(name)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = self._modules[name](x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]

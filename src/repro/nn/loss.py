@@ -1,4 +1,4 @@
-"""Loss functions.
+"""The training loss.
 
 The paper optimizes binary cross-entropy between the classifier's sigmoid
 probability and the slower/faster label (Section IV-D). We implement the
@@ -11,7 +11,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["bce_with_logits", "binary_cross_entropy", "mse_loss", "cross_entropy"]
+__all__ = ["bce_with_logits"]
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
@@ -40,29 +40,3 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 
     return Tensor._make(np.asarray(loss_data.mean()), (logits,), backward)
 
-
-def binary_cross_entropy(probs: Tensor, targets, eps: float = 1e-12) -> Tensor:
-    """BCE on probabilities (clamped); prefer :func:`bce_with_logits`."""
-    y = Tensor._coerce(targets)
-    p = Tensor(np.clip(probs.data, eps, 1.0 - eps), requires_grad=False)
-    # Reconnect to the graph through a pass-through clamp:
-    clamped = probs + (p - probs.detach())
-    loss = -(y * clamped.log() + (1.0 - y) * (1.0 - clamped).log())
-    return loss.mean()
-
-
-def mse_loss(pred: Tensor, targets) -> Tensor:
-    y = Tensor._coerce(targets)
-    diff = pred - y
-    return (diff * diff).mean()
-
-
-def cross_entropy(logits: Tensor, target_indices) -> Tensor:
-    """Multi-class cross entropy over the last axis (used by the GCN's
-    auxiliary node-classification view)."""
-    idx = np.asarray(target_indices, dtype=np.int64)
-    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    log_probs = shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
-    n = idx.shape[0]
-    picked = log_probs[np.arange(n), idx]
-    return -picked.mean()

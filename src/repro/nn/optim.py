@@ -1,15 +1,15 @@
-"""First-order optimizers and gradient utilities.
+"""The Adam optimizer and global-norm gradient clipping.
 
-Training in the paper is standard mini-batch SGD-family optimization of the
-BCE objective; we provide SGD (+momentum), Adam, AdaGrad and RMSProp plus
-global-norm gradient clipping and step-decay learning-rate scheduling.
+Training in the paper is mini-batch optimization of the BCE objective;
+every model here trains with Adam, and trainers clip and log the global
+gradient norm.
 
-Every optimizer is checkpointable: ``state_dict()`` returns the full
-update state (hyper-parameters, step counters, and the per-parameter
-moment/velocity arrays) and ``load_state_dict()`` restores it exactly,
-so a resumed training run (:mod:`repro.engine`) continues bitwise where
-it left off. ``optimizer_from_state`` rebuilds an optimizer of the right
-class from such a state — the construct-from-checkpoint half used by
+The optimizer is checkpointable: ``state_dict()`` returns the full
+update state (hyper-parameters, step counter, and the per-parameter
+moment arrays) and ``load_state_dict()`` restores it exactly, so a
+resumed training run (:mod:`repro.engine`) continues bitwise where it
+left off. ``optimizer_from_state`` rebuilds the optimizer a state names
+in its ``type`` tag — the construct-from-checkpoint half used by
 :mod:`repro.serve.checkpoint` format v2.
 """
 
@@ -19,8 +19,8 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdaGrad", "RMSProp",
-           "clip_grad_norm", "StepLR", "OPTIMIZERS", "optimizer_from_state"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm", "OPTIMIZERS",
+           "optimizer_from_state"]
 
 
 class Optimizer:
@@ -82,42 +82,6 @@ class Optimizer:
         return arrays
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, vel in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            p.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {"type": "sgd", "lr": self.lr, "momentum": self.momentum,
-                "weight_decay": self.weight_decay,
-                "velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._check_type(state, "sgd")
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = self._restore_arrays(state["velocity"])
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 
@@ -166,61 +130,8 @@ class Adam(Optimizer):
         self._v = self._restore_arrays(state["v"])
 
 
-class AdaGrad(Optimizer):
-    def __init__(self, parameters, lr: float = 0.01, eps: float = 1e-10):
-        super().__init__(parameters, lr)
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, acc in zip(self.parameters, self._accum):
-            if p.grad is None:
-                continue
-            acc += p.grad * p.grad
-            p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {"type": "adagrad", "lr": self.lr, "eps": self.eps,
-                "accum": [a.copy() for a in self._accum]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._check_type(state, "adagrad")
-        self.lr = float(state["lr"])
-        self.eps = float(state["eps"])
-        self._accum = self._restore_arrays(state["accum"])
-
-
-class RMSProp(Optimizer):
-    def __init__(self, parameters, lr: float = 0.01, alpha: float = 0.99,
-                 eps: float = 1e-8):
-        super().__init__(parameters, lr)
-        self.alpha = alpha
-        self.eps = eps
-        self._sq = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, sq in zip(self.parameters, self._sq):
-            if p.grad is None:
-                continue
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * p.grad * p.grad
-            p.data -= self.lr * p.grad / (np.sqrt(sq) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {"type": "rmsprop", "lr": self.lr, "alpha": self.alpha,
-                "eps": self.eps, "sq": [s.copy() for s in self._sq]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._check_type(state, "rmsprop")
-        self.lr = float(state["lr"])
-        self.alpha = float(state["alpha"])
-        self.eps = float(state["eps"])
-        self._sq = self._restore_arrays(state["sq"])
-
-
 #: state_dict ``type`` tag -> optimizer class (checkpoint reconstruction).
-OPTIMIZERS: dict[str, type] = {"sgd": SGD, "adam": Adam,
-                               "adagrad": AdaGrad, "rmsprop": RMSProp}
+OPTIMIZERS: dict[str, type] = {"adam": Adam}
 
 
 def optimizer_from_state(parameters, state: dict) -> Optimizer:
@@ -248,19 +159,3 @@ def clip_grad_norm(parameters, max_norm: float) -> float:
             p.grad *= scale
     return total
 
-
-class StepLR:
-    """Multiply the optimizer's learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

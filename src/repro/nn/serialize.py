@@ -23,11 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .module import Module
-
 __all__ = [
     "save_state", "load_state", "load_state_with_meta", "load_meta",
-    "save_module", "load_module", "METADATA_KEY",
+    "METADATA_KEY",
 ]
 
 METADATA_KEY = "__meta__"
@@ -106,11 +104,3 @@ def load_meta(path) -> dict | None:
             return None
         return json.loads(archive[METADATA_KEY].tobytes().decode("utf-8"))
 
-
-def save_module(module: Module, path, meta: dict | None = None) -> None:
-    save_state(module.state_dict(), path, meta=meta)
-
-
-def load_module(module: Module, path) -> Module:
-    module.load_state_dict(load_state(path))
-    return module

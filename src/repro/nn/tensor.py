@@ -410,34 +410,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def put_rows(self, indices, values: "Tensor") -> "Tensor":
-        """Out-of-place scatter write: ``out[indices] = values``.
-
-        Returns a new tensor equal to ``self`` except that row
-        ``indices[i]`` holds ``values[i]``. Indices must be unique —
-        with duplicates the forward keeps numpy's last-write-wins
-        semantics but gradients for the overwritten rows would be
-        double-counted, so duplicates are rejected.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        values = self._coerce(values)
-        if idx.ndim != 1:
-            raise ValueError("put_rows expects a 1-D index array")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("put_rows indices must be unique")
-        out_data = self.data.copy()
-        out_data[idx] = values.data
-
-        def backward(grad):
-            if self.requires_grad:
-                g = grad.copy()
-                g[idx] = 0.0
-                self._accumulate(g)
-            if values.requires_grad:
-                values._accumulate(grad[idx])
-
-        return Tensor._make(out_data, (self, values), backward)
-
     @staticmethod
     def gather_rows(sources: list["Tensor"], source_ids, row_ids) -> "Tensor":
         """Gather rows across several same-width tensors in one op.
@@ -558,23 +530,6 @@ class Tensor:
             for t, piece in zip(tensors, pieces):
                 if t.requires_grad:
                     t._accumulate(piece)
-
-        return Tensor._make(out_data, tuple(tensors), backward)
-
-    @staticmethod
-    def add_n(tensors: list["Tensor"]) -> "Tensor":
-        """Sum a list of same-shaped tensors (child-sum aggregation)."""
-        tensors = [Tensor._coerce(t) for t in tensors]
-        if not tensors:
-            raise ValueError("add_n requires at least one tensor")
-        out_data = tensors[0].data.copy()
-        for t in tensors[1:]:
-            out_data += t.data
-
-        def backward(grad):
-            for t in tensors:
-                if t.requires_grad:
-                    t._accumulate(_unbroadcast(grad, t.shape))
 
         return Tensor._make(out_data, tuple(tensors), backward)
 

@@ -3,7 +3,7 @@
 Records, per epoch: mean loss, last grad-norm, validation accuracy
 (when present), buffer-pool occupancy from the active kernel backend,
 and a step-latency histogram — all labelled with the backend name and
-dtype so a numpy64 run and a numba run produce distinguishable series.
+dtype so a numpy64 run and a cnative run produce distinguishable series.
 
 Two invariants the engine tests hold this callback to:
 
@@ -38,7 +38,7 @@ class MetricsCallback(Callback):
         scrape endpoint); a private one is created when omitted.
     step_buckets:
         Histogram bounds (seconds) for step latency; the default
-        latency buckets suit both sub-millisecond numba steps and
+        latency buckets suit both sub-millisecond toy-model steps and
         multi-second full-corpus epochs.
     """
 

@@ -161,7 +161,7 @@ class Tracer:
         self._rng_lock = threading.Lock()
         self._ring: deque = deque(maxlen=int(capacity))
         self._ring_lock = threading.Lock()
-        # read directly (not via `active`) by the serving hot path
+        # the current thread's trace (see `active` and `span`)
         self._local = threading.local()
         self._sampled_total = 0
         self._seen_total = 0

@@ -72,14 +72,6 @@ class LruCache:
         self._data: "OrderedDict[str, object]" = OrderedDict()
         self._lock = Lock()
         self.registry = registry or MetricsRegistry()
-        # get() is the hottest call in the serving tier, so it counts
-        # with plain ints under the lock it already holds; _publish()
-        # pushes the totals into the registry counters whenever anyone
-        # actually reads them (stats(), a scrape, a snapshot poll)
-        self._hits_n = 0
-        self._misses_n = 0
-        self._rejected_n = 0
-        self._published = {"hits": 0, "misses": 0, "rejected": 0}
         self._hit_ctr = self.registry.counter(
             "repro_serve_cache_hits_total",
             "embedding cache lookups served from cache").labels()
@@ -95,32 +87,17 @@ class LruCache:
             "repro_serve_cache_capacity", "configured cache capacity",
             agg="last").set(capacity)
 
-    def _publish(self) -> None:
-        """Fold the int counters into the registry families (delta-wise,
-        so repeated publishes are idempotent)."""
-        with self._lock:
-            totals = {"hits": self._hits_n, "misses": self._misses_n,
-                      "rejected": self._rejected_n}
-            for name, child in (("hits", self._hit_ctr),
-                                ("misses", self._miss_ctr),
-                                ("rejected", self._rejected_ctr)):
-                delta = totals[name] - self._published[name]
-                if delta:
-                    child.inc(delta)
-                    self._published[name] = totals[name]
-            self._size_gauge.set(len(self._data))
-
     @property
     def hits(self) -> int:
-        return self._hits_n
+        return int(self._hit_ctr.value)
 
     @property
     def misses(self) -> int:
-        return self._misses_n
+        return int(self._miss_ctr.value)
 
     @property
     def rejected(self) -> int:
-        return self._rejected_n
+        return int(self._rejected_ctr.value)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -134,9 +111,9 @@ class LruCache:
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-                self._hits_n += 1
+                self._hit_ctr.inc()
                 return self._data[key]
-            self._misses_n += 1
+            self._miss_ctr.inc()
             return None
 
     def put(self, key: str, value, cost: int | None = None) -> None:
@@ -150,8 +127,7 @@ class LruCache:
             return
         if (self.admit_max_cost is not None and cost is not None
                 and cost > self.admit_max_cost):
-            with self._lock:
-                self._rejected_n += 1
+            self._rejected_ctr.inc()
             return
         with self._lock:
             if key in self._data:
@@ -165,12 +141,12 @@ class LruCache:
             self._data.clear()
 
     def stats(self) -> dict:
-        """Historical stats view — keys unchanged; also publishes the
-        hot-path counters into the registry families."""
-        self._publish()
+        """Historical stats view — keys unchanged; also refreshes the
+        ``repro_serve_cache_size`` gauge."""
         hits, misses, rejected = self.hits, self.misses, self.rejected
         with self._lock:
             size = len(self._data)
+        self._size_gauge.set(size)
         total = hits + misses
         return {
             "size": size, "capacity": self.capacity,

@@ -63,8 +63,8 @@ class NotACheckpointError(ValueError):
     """The archive is a plain state dict, not a versioned checkpoint.
 
     Distinct from other ``ValueError``s (e.g. a *newer-version*
-    checkpoint) so callers can fall back to legacy formats without
-    masking real diagnostics.
+    checkpoint) so a caller can tell an archive that was never a
+    checkpoint from one it cannot read.
     """
 
 

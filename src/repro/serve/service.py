@@ -87,9 +87,6 @@ class PredictionService:
         # dicts have historically reported.
         self.registry = registry or MetricsRegistry()
         self.tracer = tracer or Tracer()
-        # the embed hot path reads the tracer's thread-local directly
-        # (one getattr) instead of going through the `active` property
-        self._trace_local = self.tracer._local
         self.cache = LruCache(cache_size, admit_max_cost=cache_max_nodes,
                               registry=self.registry)
         self.batcher = MicroBatcher(self._encode_features,
@@ -103,15 +100,6 @@ class PredictionService:
         self._latency = self.registry.histogram(
             "repro_serve_request_latency_seconds",
             "request wall time by operation", ("op",))
-        # The request path is latency-critical, so per-op request counts
-        # are plain ints under one lock (exactly the pre-registry cost)
-        # and _publish_requests() folds them into the registry family
-        # whenever anyone reads it. Latency histograms observe directly
-        # — a bisect and one child lock is already minimal.
-        self._op_counts = {op: 0  # archlint: allow-counter-dict (hot path; published to the registry on every read)
-                           for op in ("embed", "compare", "rank")}
-        self._counts_lock = threading.Lock()
-        self._published_requests = dict(self._op_counts)
         self._requests_by_op = {op: self._requests.labels(op)
                                 for op in ("embed", "compare", "rank")}
         self._latency_by_op = {op: self._latency.labels(op)
@@ -146,23 +134,6 @@ class PredictionService:
         load); the default refuses with ``CheckpointDtypeError``.
         """
         return cls(load_checkpoint(path, cast=cast), **kwargs)
-
-    def _count(self, op: str, by: int = 1) -> None:
-        with self._counts_lock:
-            self._op_counts[op] += by
-
-    def _publish_requests(self) -> dict:
-        """Fold the hot-path request counts into the registry family
-        (delta-wise, idempotent); returns the current totals."""
-        with self._counts_lock:
-            totals = dict(self._op_counts)
-            deltas = {op: totals[op] - self._published_requests[op]
-                      for op in totals}
-            self._published_requests = totals   # claim atomically
-        for op, delta in deltas.items():
-            if delta:
-                self._requests_by_op[op].inc(delta)
-        return totals
 
     # ------------------------------------------------------------------
     # the encode stage handed to the batcher
@@ -248,45 +219,21 @@ class PredictionService:
         """Embeddings for ``sources`` (T, d): cache hits cost a lookup,
         misses are submitted together so one fused flush covers them.
 
-        Sampling is decided per request; the unsampled path (the
-        overwhelming majority at the default rate) runs the three
-        phases inline below with zero span bookkeeping — keep it in
-        lockstep with :meth:`_cache_pass` / :meth:`_resolve_misses`,
-        which the sampled path wraps in spans.
+        Each phase runs under a span of the request's trace. An
+        unsampled request's spans are the shared null guard, so it
+        pays only for entering them.
         """
-        trace = getattr(self._trace_local, "trace", None)
-        if trace is not None and trace.sampled:
-            return self._embed_sources_traced(sources, labels, trace)
-        features_by_row = self._featurize_all(sources, labels)
-        out = np.empty((len(sources), self.model.encoder.output_size))
-        tickets: dict[str, object] = {}   # canonical key -> ticket
-        node_counts: dict[str, int] = {}  # canonical key -> tree size
-        miss_rows: list[tuple[int, str]] = []
-        for i, features in enumerate(features_by_row):
-            key = canonical_key(features)
-            hit = self.cache.get(key)
-            if hit is not None:
-                out[i] = hit
-                continue
-            if key not in tickets:
-                tickets[key] = self.batcher.submit(features)
-                node_counts[key] = features.num_nodes
-            miss_rows.append((i, key))
-        if miss_rows:
-            self._resolve_misses(out, tickets, node_counts, miss_rows)
-        return out
-
-    def _embed_sources_traced(self, sources, labels, trace) -> np.ndarray:
-        """The same three phases as :meth:`_embed_sources`, each under a
-        span of the request's sampled trace."""
+        trace = self.tracer.active
         with trace.span("featurize") as span:
             features_by_row = self._featurize_all(sources, labels)
-            span.note(sources=len(sources))
+            if trace.sampled:
+                span.note(sources=len(sources))
         with trace.span("cache_lookup") as span:
             out, tickets, node_counts, miss_rows = \
                 self._cache_pass(features_by_row)
-            span.note(hits=len(sources) - len(miss_rows),
-                      misses=len(miss_rows))
+            if trace.sampled:
+                span.note(hits=len(sources) - len(miss_rows),
+                          misses=len(miss_rows))
         with trace.span("batch_wait"):
             self._resolve_misses(out, tickets, node_counts, miss_rows)
         return out
@@ -294,7 +241,7 @@ class PredictionService:
     def embed(self, source: str) -> np.ndarray:
         """Latent code vector for one source (served from cache when the
         canonical AST was seen before)."""
-        self._count("embed")
+        self._requests_by_op["embed"].inc()
         start = time.perf_counter()
         row = self._embed_sources([source])[0]
         self._latency_by_op["embed"].observe(time.perf_counter() - start)
@@ -309,7 +256,7 @@ class PredictionService:
         naming its index *before* any encoding work happens.
         """
         sources = list(sources)
-        self._count("embed", len(sources))
+        self._requests_by_op["embed"].inc(len(sources))
         if not sources:
             return np.zeros((0, self.model.encoder.output_size))
         start = time.perf_counter()
@@ -346,7 +293,7 @@ class PredictionService:
         """P(label=1) = P(first is slower-or-equal), exactly the
         semantics of ``ComparativeModel.predict_probability`` — but the
         two trees go through cache + one fused batch, not two encodes."""
-        self._count("compare")
+        self._requests_by_op["compare"].inc()
         start = time.perf_counter()
         z = self._embed_sources([first, second])
         with no_grad():
@@ -381,7 +328,7 @@ class PredictionService:
         candidates = list(candidates)
         if not candidates:
             raise ValueError("rank needs at least one candidate")
-        self._count("rank")
+        self._requests_by_op["rank"].inc()
         start = time.perf_counter()
         sources = list(candidates) + ([baseline] if baseline is not None else [])
         labels = [f"candidate #{i}" for i in range(len(candidates))]
@@ -418,11 +365,10 @@ class PredictionService:
     # introspection / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Historical stats dict — identical keys, but every number is
-        now a view over the obs registry (publishing the hot-path
-        counts into it on the way)."""
-        counts = {op: int(total)
-                  for op, total in self._publish_requests().items()}
+        """Historical stats dict — identical keys, every number a view
+        over the obs registry."""
+        counts = {op: int(child.value)
+                  for op, child in self._requests_by_op.items()}
         encoded_trees = int(self._encoded.value)
         encode_time_s = self._encode_seconds.value
         return {
@@ -446,8 +392,7 @@ class PredictionService:
         batcher queue) refreshed — the payload behind the ``metrics``
         op and the scrape endpoint."""
         self._uptime.set(time.monotonic() - self._started)
-        self._publish_requests()
-        self.cache.stats()       # publishes counters + cache size
+        self.cache.stats()       # refreshes repro_serve_cache_size
         self.batcher.stats()     # refreshes repro_serve_batcher_pending
         return self.registry.snapshot()
 

@@ -106,6 +106,8 @@ class TestNoCompilerFallback:
                             lambda: Path("/nonexistent-cache"))
         assert not nn_backend.CNativeBackend.available()
         with pytest.raises(nn_backend.BackendUnavailableError):
+            nn_backend.get("cnative")
+        with pytest.raises(nn_backend.BackendUnavailableError):
             nn_backend.set_backend("cnative")
 
 

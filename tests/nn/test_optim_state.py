@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import (
-    SGD, AdaGrad, Adam, OPTIMIZERS, RMSProp, optimizer_from_state,
-)
+from repro.nn.optim import Adam, OPTIMIZERS, optimizer_from_state
 from repro.nn.serialize import load_state, save_state
 
 
@@ -30,9 +28,6 @@ def _take_steps(optimizer, model, n):
 
 ALL_KINDS = [
     ("adam", lambda m: Adam(m.parameters(), lr=0.01)),
-    ("sgd", lambda m: SGD(m.parameters(), lr=0.01, momentum=0.9)),
-    ("adagrad", lambda m: AdaGrad(m.parameters(), lr=0.01)),
-    ("rmsprop", lambda m: RMSProp(m.parameters(), lr=0.01)),
 ]
 
 
@@ -108,10 +103,10 @@ def test_array_count_mismatch_rejected():
 
 def test_wrong_type_tag_rejected():
     model = TinyModel()
-    sgd = SGD(model.parameters(), lr=0.01)
-    with pytest.raises(ValueError, match="'adam', not 'sgd'"):
-        sgd.load_state_dict(Adam(TinyModel().parameters(),
-                                 lr=0.01).state_dict())
+    adam = Adam(model.parameters(), lr=0.01)
+    state = dict(adam.state_dict(), type="sgd")
+    with pytest.raises(ValueError, match="'sgd', not 'adam'"):
+        adam.load_state_dict(state)
 
 
 def test_optimizer_from_state_rebuilds_each_kind():
@@ -126,7 +121,8 @@ def test_optimizer_from_state_rebuilds_each_kind():
         assert rebuilt.state_dict().keys() == original.state_dict().keys()
 
 
-def test_optimizer_from_state_unknown_type():
+@pytest.mark.parametrize("kind", ["lion", "sgd"])
+def test_optimizer_from_state_unknown_type(kind):
     with pytest.raises(ValueError, match="unknown optimizer type"):
         optimizer_from_state(TinyModel().parameters(),
-                             {"type": "lion", "lr": 0.1})
+                             {"type": kind, "lr": 0.1})

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear
 from repro.nn.serialize import (
-    METADATA_KEY, load_module, load_state, load_state_with_meta, save_module,
-    save_state,
+    METADATA_KEY, load_state, load_state_with_meta, save_state,
 )
 
 
@@ -71,15 +69,3 @@ class TestMetadataHeader:
         save_state(_state(), tmp_path / "m.npz", meta=meta)
         _, loaded = load_state_with_meta(tmp_path / "m.npz")
         assert loaded == meta
-
-
-class TestModuleHelpers:
-    def test_save_load_module(self, tmp_path):
-        rng = np.random.default_rng(3)
-        src = Linear(4, 2, rng=rng)
-        dst = Linear(4, 2, rng=np.random.default_rng(4))
-        save_module(src, tmp_path / "lin")  # suffixless on purpose
-        load_module(dst, tmp_path / "lin")
-        for (_, a), (_, b) in zip(src.named_parameters(),
-                                  dst.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)

@@ -27,7 +27,7 @@ class TestBasics:
     def test_integer_arrays_are_not_floated(self):
         # Index maps / masks keep their dtype and identity — the old
         # behaviour silently upcast them to float64, which copied every
-        # put_rows/gather_rows index array.
+        # gather_rows index array.
         idx = np.array([0, 2, 1], dtype=np.int64)
         assert Tensor(idx).data is idx
         mask = np.array([True, False], dtype=np.bool_)
@@ -192,25 +192,6 @@ class TestReductionsAndShape:
         np.testing.assert_allclose(a.grad, expected)
 
 
-class TestPutRows:
-    def test_forward_overwrites_rows(self):
-        a = Tensor(np.zeros((4, 2)))
-        v = Tensor(np.ones((2, 2)))
-        out = a.put_rows([1, 3], v)
-        np.testing.assert_allclose(out.data[[1, 3]], 1.0)
-        np.testing.assert_allclose(out.data[[0, 2]], 0.0)
-        np.testing.assert_allclose(a.data, 0.0)  # out-of-place
-
-    def test_gradcheck(self):
-        a = Tensor(rand((5, 3)), requires_grad=True)
-        v = Tensor(rand((2, 3), 1), requires_grad=True)
-        check_gradients(lambda: (a.put_rows([4, 1], v) ** 2).sum(), [a, v])
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError, match="unique"):
-            Tensor(np.zeros((4, 2))).put_rows([1, 1], Tensor(np.ones((2, 2))))
-
-
 class TestGatherRows:
     def test_forward_multi_source(self):
         a, b = Tensor(rand((3, 2))), Tensor(rand((4, 2), 1))
@@ -250,14 +231,6 @@ class TestCombinators:
         a = Tensor(rand((3,)), requires_grad=True)
         b = Tensor(rand((3,), 1), requires_grad=True)
         check_gradients(lambda: (Tensor.stack([a, b]) ** 2).sum(), [a, b])
-
-    def test_add_n(self):
-        parts = [Tensor(rand((2, 2), s), requires_grad=True) for s in range(4)]
-        check_gradients(lambda: (Tensor.add_n(parts) ** 2).sum(), parts)
-
-    def test_add_n_empty_raises(self):
-        with pytest.raises(ValueError):
-            Tensor.add_n([])
 
 
 class TestGraphReuse:

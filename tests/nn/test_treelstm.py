@@ -338,9 +338,9 @@ class TestTreeLSTMStack:
             v = stack.encode(x, sched)
             return ((v - Tensor(target)) ** 2).sum()
 
-        from repro.nn import SGD
+        from repro.nn import Adam
 
-        opt = SGD(stack.parameters(), lr=0.1)
+        opt = Adam(stack.parameters(), lr=0.1)
         first = compute_loss()
         first.backward()
         opt.step()

@@ -104,7 +104,7 @@ def test_rejects_plain_state_archive(tmp_path):
 
 def test_future_version_is_not_a_legacy_fallback(tmp_path):
     """A newer-version checkpoint must surface its version error, not be
-    mistaken for the legacy sidecar layout (NotACheckpointError)."""
+    mistaken for a plain state-dict archive (NotACheckpointError)."""
     from repro.nn.serialize import load_state_with_meta, save_state
     from repro.serve import NotACheckpointError
 

@@ -219,10 +219,11 @@ class TestShardAffinity:
                 np.testing.assert_allclose(reply["embedding"],
                                            model.embed(sources[0]),
                                            atol=backend_tolerance(1e-8))
-                # wait for a stats poll cycle to pick up worker counters
+                # wait for a stats poll that has seen all 13 requests (an
+                # earlier poll can land between the two passes)
                 wait_until(
                     lambda: client.request({"op": "cluster_stats"})
-                    ["stats"]["totals"]["trees_encoded"] >= 6,
+                    ["stats"]["totals"]["requests"] >= 13,
                     message="stats poll")
                 stats = client.request({"op": "cluster_stats"})["stats"]
         # 13 requests, 6 distinct trees: affinity means no tree was ever

@@ -111,10 +111,13 @@ class TestTrainAndPredict:
         return model
 
     def test_train_writes_model_and_meta(self, model_path):
+        from repro.serve.checkpoint import read_checkpoint_meta
+
         assert model_path.exists()
-        meta = json.loads(model_path.with_suffix(".json").read_text())
-        assert meta["encoder"] == "gcn"
-        assert 0.0 <= meta["accuracy"] <= 1.0
+        assert not model_path.with_suffix(".json").exists()
+        meta = read_checkpoint_meta(model_path)
+        assert meta["model"]["encoder_kind"] == "gcn"
+        assert 0.0 <= meta["extra"]["accuracy"] <= 1.0
 
     def test_predict_orders_fast_vs_slow(self, workspace, model_path, capsys):
         root, db_path = workspace
