@@ -4,6 +4,10 @@ Not a paper artifact — these quantify the substrate itself: frontend
 parsing, featurization, one tree-LSTM encode, one training step, and
 one judged execution. Useful for tracking performance regressions in
 the reproduction.
+
+Most model rows use the 16/16 toy configuration; the ``_paper_size``
+rows run the paper's 120/100 (Section V-C) on synthetic variants, so
+they need no corpus and run in the no-corpus benchmark smoke pass.
 """
 
 import numpy as np
@@ -87,6 +91,46 @@ def test_bench_forest_encode(benchmark):
         benchmark.extra_info["pairs_per_sec"] = 16.0 / benchmark.stats.stats.mean
     except (AttributeError, TypeError):  # stats API varies across versions
         pass
+
+
+def _variant_pairs(model, n: int):
+    """``n`` labelled pairs of distinct synthetic variants, featurized
+    (the shape ``Trainer._batch_loss`` takes)."""
+    sources = variants(2 * n)
+    return [(model.featurizer(sources[2 * k]),
+             model.featurizer(sources[2 * k + 1]), k % 2)
+            for k in range(n)]
+
+
+def test_bench_training_step_paper_size(benchmark):
+    """One training step at embedding 120 / hidden 100 over a batch of
+    16 variant pairs (32 trees): table projection, level-batched
+    forward, backward and Adam step."""
+    model = build_model(embedding_dim=120, hidden_size=100)
+    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=16))
+    prepared = _variant_pairs(model, 16)
+
+    def step():
+        trainer.optimizer.zero_grad()
+        loss = trainer._batch_loss(prepared)
+        loss.backward()
+        trainer.optimizer.step()
+        return loss
+
+    loss = benchmark.pedantic(step, rounds=5, iterations=1,
+                              warmup_rounds=5)
+    assert np.isfinite(loss.item())
+
+
+def test_bench_forest_encode_paper_size(benchmark):
+    """The fused forward path of ``test_bench_forest_encode`` at
+    embedding 120 / hidden 100: 16 pairs, one forest per call."""
+    model = build_model(embedding_dim=120, hidden_size=100)
+    feats = [(model.featurizer(SOURCE), model.featurizer(v))
+             for v in variants(16)]
+
+    logits = benchmark(model.pair_logits, feats)
+    assert logits.shape == (16,)
 
 
 def test_bench_full_epoch(benchmark, table1_db):

@@ -4,6 +4,12 @@ Both encoders share the structure of Section III-A: a learned node
 embedding lookup (dimension λ) followed by a structural network that
 produces one latent vector z per AST — the tree-LSTM stack (the paper's
 proposal) or the GCN (the baseline it is compared against in Fig. 3).
+
+The tree-LSTM encoder never looks the embedding up per node: it hands
+its stack the embedding table and the range-checked node ids, and the
+first layer projects the table (see "Table path" in
+:mod:`repro.nn.treelstm`). The GCN and chain-LSTM encoders look up
+one embedding row per node.
 """
 
 from __future__ import annotations
@@ -26,6 +32,15 @@ class TreeLstmEncoder(Module):
 
     Defaults follow Section V-C: embedding λ=120, 100 hidden states —
     shrink both for quick experiments.
+
+    The lookup is never materialized per node: every entry point hands
+    the stack the embedding table plus the range-checked node ids, so
+    the first layer projects each node *type* once (the corpus has 120
+    types, a training batch thousands of nodes) and its level loop
+    reads the projected rows by id. ``x_j = E[id_j]`` and the
+    projection is linear, so this is the same model as
+    lookup-then-project; the embedding's gradient comes straight from
+    the projection GEMMs.
     """
 
     def __init__(self, vocab_size: int, embedding_dim: int = 120,
@@ -42,24 +57,24 @@ class TreeLstmEncoder(Module):
 
     def forward(self, features: TreeFeatures) -> Tensor:
         """Latent code vector z for one AST (shape: (hidden,))."""
-        x = self.embedding(features.node_ids)
-        return self.stack.encode(x, features.schedule)
+        ids = self.embedding.checked_ids(features.node_ids)
+        return self.stack.encode(self.embedding.weight, features.schedule, ids)
 
     def encode_batch(self, features_list: list[TreeFeatures]) -> Tensor:
         """Latent vectors for a whole batch, (T, hidden), in ONE pass.
 
-        The batch is packed into a fused forest (one embedding lookup,
+        The batch is packed into a fused forest (one table projection,
         one level-batched tree-LSTM sweep, one root gather) — this is
         the hot path for training and bulk evaluation.
         """
         packed = pack_forest(features_list)
-        x = self.embedding(packed.node_ids)
-        return self.stack.root_states(x, packed.schedule)
+        ids = self.embedding.checked_ids(packed.node_ids)
+        return self.stack.root_states(self.embedding.weight, packed.schedule, ids)
 
     def node_states(self, features: TreeFeatures) -> Tensor:
         """All node hidden states, for visualization (Fig. 7)."""
-        x = self.embedding(features.node_ids)
-        return self.stack(x, features.schedule)
+        ids = self.embedding.checked_ids(features.node_ids)
+        return self.stack(self.embedding.weight, features.schedule, ids)
 
 
 class GcnEncoder(Module):

@@ -11,6 +11,7 @@ Implements the measurement protocols of Section VI:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,17 @@ def cross_problem_matrix(trainers: dict[str, Trainer],
                          pairs_per_cell: int,
                          seed: int = 0) -> dict[tuple[str, str], float]:
     """Table II: accuracy of the model trained on row-tag, evaluated on
-    pairs from column-tag submissions."""
+    pairs from column-tag submissions.
+
+    Each cell draws its pairs from ``seed`` plus a digest of the two
+    tags, so the draws are the same in every process (``hash()`` of a
+    string changes with ``PYTHONHASHSEED``).
+    """
     matrix: dict[tuple[str, str], float] = {}
     for train_tag, trainer in trainers.items():
         for test_tag, subs in eval_submissions.items():
-            rng = np.random.default_rng(seed + hash((train_tag, test_tag)) % 10_000)
+            digest = hashlib.sha256(f"{train_tag}\0{test_tag}".encode()).digest()
+            rng = np.random.default_rng(seed + int.from_bytes(digest[:8], "big") % 10_000)
             pairs = sample_pairs(subs, pairs_per_cell, rng)
             matrix[(train_tag, test_tag)] = \
                 evaluate_on_pairs(trainer, pairs).accuracy

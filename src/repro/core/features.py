@@ -3,7 +3,7 @@
 :class:`TreeFeaturizer` runs the full frontend (parse -> simplify ->
 flatten -> vocabulary encoding) and precomputes the evaluation schedule
 for the tree-LSTM and the normalized adjacency for the GCN. Featurized
-trees are cached by source hash: the corpus pairs reuse the same
+trees are cached by source text: the corpus pairs reuse the same
 submissions many times. Tree-LSTM schedules are additionally memoized
 on tree *structure* (:func:`repro.nn.treelstm.schedule_for`), so two
 submissions with the same AST shape share one schedule object.
@@ -113,15 +113,16 @@ class TreeFeaturizer:
 
     def __init__(self, vocab: NodeVocab | None = None, cache_size: int = 4096):
         self.vocab = vocab if vocab is not None else NodeVocab(frozen=True)
-        self._cache: dict[int, TreeFeatures] = {}
+        # Keyed on the text itself, not hash(source): two sources whose
+        # hashes collide must not share one entry.
+        self._cache: dict[str, TreeFeatures] = {}
         self._cache_size = cache_size
 
     def __call__(self, source: str) -> TreeFeatures:
         return self.featurize(source)
 
     def featurize(self, source: str) -> TreeFeatures:
-        key = hash(source)
-        hit = self._cache.get(key)
+        hit = self._cache.get(source)
         if hit is not None:
             return hit
         flat = flatten(simplify(parse(source)))
@@ -136,5 +137,5 @@ class TreeFeaturizer:
         if self._cache_size > 0:
             if len(self._cache) >= self._cache_size:
                 self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = features
+            self._cache[source] = features
         return features

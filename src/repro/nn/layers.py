@@ -57,14 +57,22 @@ class Embedding(Module):
         self.embedding_dim = embedding_dim
         self.weight = Parameter(rng.normal(0.0, 0.1, size=(num_embeddings, embedding_dim)))
 
-    def forward(self, indices) -> Tensor:
+    def checked_ids(self, indices) -> np.ndarray:
+        """``indices`` as int64 row numbers of the table.
+
+        Raises ``IndexError`` on an id outside ``[0, num_embeddings)``:
+        numpy fancy indexing would silently wrap a negative one.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings}): "
                 f"min={idx.min()}, max={idx.max()}"
             )
-        return self.weight.take_rows(idx)
+        return idx
+
+    def forward(self, indices) -> Tensor:
+        return self.weight.take_rows(self.checked_ids(indices))
 
     def __repr__(self) -> str:
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"

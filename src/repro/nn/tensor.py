@@ -291,11 +291,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = np.empty_like(self.data)
-        pos = self.data >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-self.data[pos]))
-        ex = np.exp(self.data[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        out_data = _backend._sigmoid_stable(self.data)
 
         def backward(grad):
             if self.requires_grad:

@@ -38,6 +38,21 @@ earlier levels) are fetched with :meth:`Tensor.gather_rows`. The
 previous implementation grew the state tensor with ``Tensor.concat``
 every level, which copied all earlier levels again and again —
 O(levels²) traffic that dominated on deep ASTs.
+
+Table path
+----------
+A first layer's input is a node-type embedding, ``x_j = E[id_j]``,
+and its input projections ``W x_j + b`` are linear in it, so they are
+computed once per row of the table ``E`` (the corpus has 120 node
+types) instead of once per node (thousands per training batch).
+:meth:`TreeLSTMStack.forward` takes the table plus ``ids`` and hands
+both to its first layer only; that layer's level loop reads each
+node's projected row with ``take_rows(ids[nodes])``. No node-level
+N×λ input exists, nor its N×4h projections with their two backward
+GEMMs, nor the embedding's own row scatter. Later layers read the
+previous layer's hidden states, one row per node. Without ``ids`` the
+input has one row per node and the same code runs with ``ids`` the
+identity.
 """
 
 from __future__ import annotations
@@ -399,24 +414,32 @@ class ChildSumTreeLSTM(Module):
         self.b_f = Parameter(np.ones(hidden_size))
 
     # ------------------------------------------------------------------
-    def forward(self, x: Tensor, schedule: TreeSchedule,
-                direction: str = "up") -> tuple[Tensor, Tensor]:
+    def forward(self, x: Tensor, schedule: TreeSchedule | ForestSchedule,
+                direction: str = "up",
+                ids: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Encode every node; returns (h, c) of shape (n, hidden).
 
         ``direction`` is ``"up"`` (leaves -> root) or ``"down"``
-        (root -> leaves).
+        (root -> leaves). ``x`` holds one input row per node or, given
+        ``ids``, a table whose row ``ids[j]`` is node j's input (the
+        table path of the module docstring). The input projections
+        run once per row of ``x``; the level loop reads each node's
+        projected row through ``ids``.
         """
         if direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-        if x.shape[0] != schedule.num_nodes:
-            raise ValueError(
-                f"feature rows ({x.shape[0]}) != schedule nodes ({schedule.num_nodes})"
-            )
-        x_iou = Tensor.addmm(self.b_iou, x, self.w_iou)  # (n, 3h)
-        x_f = Tensor.addmm(self.b_f, x, self.w_f)        # (n, h)
+        n = schedule.num_nodes
+        if ids is None:
+            if x.shape[0] != n:
+                raise ValueError(f"feature rows ({x.shape[0]}) != schedule nodes ({n})")
+            ids = np.arange(n)
+        elif ids.shape != (n,):
+            raise ValueError(f"node ids {ids.shape} != schedule nodes ({n},)")
+        x_iou = Tensor.addmm(self.b_iou, x, self.w_iou)  # (rows, 3h)
+        x_f = Tensor.addmm(self.b_f, x, self.w_f)        # (rows, h)
         if direction == "up":
-            return self._run_up(x_iou, x_f, schedule)
-        return self._run_down(x_iou, x_f, schedule)
+            return self._run_up(x_iou, x_f, ids, schedule)
+        return self._run_down(x_iou, x_f, ids, schedule)
 
     # ------------------------------------------------------------------
     def _level_step(self, x_iou_level: Tensor, h_tilde: Tensor, fc: Tensor):
@@ -427,14 +450,15 @@ class ChildSumTreeLSTM(Module):
                            activation="iou")
         return _lstm_cell(iou, fc)
 
-    def _run_up(self, x_iou: Tensor, x_f: Tensor,
+    def _run_up(self, x_iou: Tensor, x_f: Tensor, ids: np.ndarray,
                 schedule: TreeSchedule | ForestSchedule):
         # Levels are processed as whole batches. Per-level outputs are
         # kept in a list and concatenated ONCE after the loop (the old
         # per-level Tensor.concat re-copied every earlier level:
         # O(levels^2) traffic). Children, which live on arbitrary
         # earlier levels, are fetched with a single multi-source
-        # gather_rows per level.
+        # gather_rows per level. A level's input projections are the
+        # rows ids[nodes] of x_iou / x_f.
         hs = self.hidden_size
         n = schedule.num_nodes
         row_of = np.full(n, -1, dtype=np.int64)      # packed output row
@@ -446,13 +470,14 @@ class ChildSumTreeLSTM(Module):
 
         for li, (nodes, edge_child, edge_parent_pos) in enumerate(schedule.up_levels):
             m = nodes.shape[0]
+            rows_in = ids[nodes]
             if edge_child.size:
                 src = level_of[edge_child]
                 off = offset_of[edge_child]
                 h_children = Tensor.gather_rows(h_levels, src, off)
                 c_children = Tensor.gather_rows(c_levels, src, off)
                 # Per-edge forget gates f_jk applied to each child's cell.
-                f_edges = Tensor.addmm(x_f.take_rows(nodes[edge_parent_pos]),
+                f_edges = Tensor.addmm(x_f.take_rows(rows_in[edge_parent_pos]),
                                        h_children, self.u_f,
                                        activation="sigmoid")
                 # h~ and sum(f*c) bucket over the same edges: one fused
@@ -463,7 +488,7 @@ class ChildSumTreeLSTM(Module):
                 h_tilde = Tensor(_backend.active().zeros((m, hs)))
                 fc = Tensor(_backend.active().zeros((m, hs)))
 
-            h_level, c_level = self._level_step(x_iou.take_rows(nodes), h_tilde, fc)
+            h_level, c_level = self._level_step(x_iou.take_rows(rows_in), h_tilde, fc)
             h_levels.append(h_level)
             c_levels.append(c_level)
             level_of[nodes] = li
@@ -476,7 +501,7 @@ class ChildSumTreeLSTM(Module):
         return h_all.take_rows(row_of), c_all.take_rows(row_of)
 
     # ------------------------------------------------------------------
-    def _run_down(self, x_iou: Tensor, x_f: Tensor,
+    def _run_down(self, x_iou: Tensor, x_f: Tensor, ids: np.ndarray,
                   schedule: TreeSchedule | ForestSchedule):
         # Same list-accumulate/concat-once scheme as _run_up. The down
         # pass is simpler: every non-root node's single predecessor (its
@@ -492,12 +517,13 @@ class ChildSumTreeLSTM(Module):
 
         for li, (nodes, parents) in enumerate(schedule.down_levels):
             m = nodes.shape[0]
+            rows_in = ids[nodes]
             if li > 0:
                 parent_rows = offset_of[parents]
                 h_par = h_levels[-1].take_rows(parent_rows)
                 c_par = c_levels[-1].take_rows(parent_rows)
                 h_tilde = h_par
-                f = Tensor.addmm(x_f.take_rows(nodes), h_par, self.u_f,
+                f = Tensor.addmm(x_f.take_rows(rows_in), h_par, self.u_f,
                                  activation="sigmoid")
                 fc = f * c_par
             else:
@@ -505,7 +531,7 @@ class ChildSumTreeLSTM(Module):
                 h_tilde = Tensor(_backend.active().zeros((m, hs)))
                 fc = Tensor(_backend.active().zeros((m, hs)))
 
-            h_level, c_level = self._level_step(x_iou.take_rows(nodes), h_tilde, fc)
+            h_level, c_level = self._level_step(x_iou.take_rows(rows_in), h_tilde, fc)
             h_levels.append(h_level)
             c_levels.append(c_level)
             offset_of[nodes] = np.arange(m)
@@ -561,12 +587,15 @@ class TreeLSTMStack(Module):
             return "up" if layer % 2 == 0 else "down"
         return "up"
 
-    def forward(self, x: Tensor, schedule: TreeSchedule | ForestSchedule) -> Tensor:
+    def forward(self, x: Tensor, schedule: TreeSchedule | ForestSchedule,
+                ids: np.ndarray | None = None) -> Tensor:
         """Return hidden states for all nodes, (n, hidden).
 
         ``schedule`` may be a single tree's :class:`TreeSchedule` or a
         whole mini-batch's :class:`ForestSchedule`; the level loop runs
-        once per (merged) level either way.
+        once per (merged) level either way. With ``ids``, ``x`` is a
+        table (node j's input is row ``ids[j]``) and only the first
+        layer reads it that way; later layers take the hidden states.
         """
         h = x
         for layer, name in enumerate(self._layer_names):
@@ -574,15 +603,18 @@ class TreeLSTMStack(Module):
             if kind == "bi":
                 up = self._modules[f"up{idx}"]
                 down = self._modules[f"down{idx}"]
-                h_up, _ = up(h, schedule, direction="up")
-                h_down, _ = down(h, schedule, direction="down")
+                h_up, _ = up(h, schedule, direction="up", ids=ids)
+                h_down, _ = down(h, schedule, direction="down", ids=ids)
                 h = Tensor.concat([h_up, h_down], axis=1)
             else:
                 cell = self._modules[f"cell{idx}"]
-                h, _ = cell(h, schedule, direction=self._layer_direction(layer))
+                h, _ = cell(h, schedule, direction=self._layer_direction(layer),
+                            ids=ids)
+            ids = None
         return h
 
-    def encode(self, x: Tensor, schedule: TreeSchedule) -> Tensor:
+    def encode(self, x: Tensor, schedule: TreeSchedule,
+               ids: np.ndarray | None = None) -> Tensor:
         """Return the root representation (d,) used for prediction.
 
         With an alternating stack ending on a downward layer the root's
@@ -590,17 +622,18 @@ class TreeLSTMStack(Module):
         always reads the root from the *last upward* output; the shipped
         configurations (1–3 layers) all end upward anyway.
         """
-        h = self.forward(x, schedule)
+        h = self.forward(x, schedule, ids)
         root = int(schedule.roots[0])
         return h[root]
 
-    def root_states(self, x: Tensor, schedule: TreeSchedule | ForestSchedule) -> Tensor:
+    def root_states(self, x: Tensor, schedule: TreeSchedule | ForestSchedule,
+                    ids: np.ndarray | None = None) -> Tensor:
         """Batched readout: one root representation per tree, (T, d).
 
         For a :class:`ForestSchedule` this gathers every member tree's
         root in a single ``take_rows``; for a plain :class:`TreeSchedule`
         it returns one row per root (so a single tree yields (1, d)).
         """
-        h = self.forward(x, schedule)
+        h = self.forward(x, schedule, ids)
         roots = getattr(schedule, "tree_roots", schedule.roots)
         return h.take_rows(roots)

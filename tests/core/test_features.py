@@ -56,6 +56,20 @@ class TestFeaturizer:
         featurizer("int main() { return 3; }")
         assert featurizer("int main() { return 1; }") is not a
 
+    def test_cache_keys_on_text_not_hash(self):
+        """Two sources whose hashes collide must not share one entry."""
+
+        class Colliding(str):
+            def __hash__(self):
+                return 1
+
+        featurizer = TreeFeaturizer()
+        small = featurizer(Colliding("int main() { return 0; }"))
+        big = featurizer(Colliding(SOURCE))
+        assert big is not small
+        assert big.num_nodes == TreeFeaturizer()(SOURCE).num_nodes
+        assert featurizer(Colliding("int main() { return 0; }")) is small
+
     def test_different_sources_different_trees(self):
         featurizer = TreeFeaturizer()
         a = featurizer("int main() { return 0; }")

@@ -1,5 +1,7 @@
 """Tests for encoders, classifier, and the assembled ComparativeModel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,49 @@ class TestEncoders:
         feats = featurizer(FAST)
         states = enc.node_states(feats)
         assert states.shape == (feats.num_nodes, 8)
+
+    @pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
+    def test_treelstm_entry_points_match_lookup_reference(self, featurizer,
+                                                          direction):
+        """forward, encode_batch and node_states all take the table
+        path; each matches lookup-then-stack on the node rows."""
+        enc = TreeLstmEncoder(len(featurizer.vocab), embedding_dim=8,
+                              hidden_size=6, num_layers=2,
+                              direction=direction)
+        fast, slow = featurizer(FAST), featurizer(SLOW)
+        tol = backend_tolerance(1e-8)
+
+        def lookup(feats):
+            return enc.embedding(feats.node_ids)
+
+        np.testing.assert_allclose(
+            enc(slow).data, enc.stack.encode(lookup(slow), slow.schedule).data,
+            rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            enc.node_states(slow).data,
+            enc.stack(lookup(slow), slow.schedule).data, rtol=0, atol=tol)
+        batch = enc.encode_batch([fast, slow])
+        for row, feats in enumerate((fast, slow)):
+            ref = enc.stack.encode(lookup(feats), feats.schedule)
+            np.testing.assert_allclose(batch.data[row], ref.data,
+                                       rtol=0, atol=tol)
+
+    def test_treelstm_rejects_out_of_range_node_ids(self, featurizer):
+        """The table path keeps the embedding's range check: numpy
+        fancy indexing would wrap a negative id silently."""
+        enc = TreeLstmEncoder(len(featurizer.vocab), embedding_dim=8,
+                              hidden_size=6)
+        good = featurizer(FAST)
+        for bad_id in (-1, len(featurizer.vocab)):
+            ids = good.node_ids.copy()
+            ids[1] = bad_id
+            bad = dataclasses.replace(good, node_ids=ids)
+            with pytest.raises(IndexError):
+                enc(bad)
+            with pytest.raises(IndexError):
+                enc.encode_batch([good, bad])
+            with pytest.raises(IndexError):
+                enc.node_states(bad)
 
     def test_lstm_output_shape(self, featurizer):
         enc = LstmEncoder(len(featurizer.vocab), embedding_dim=8,

@@ -1,6 +1,11 @@
 """Integration tests: training reduces loss and beats chance; the
 pipeline and PerformanceGate behave as the paper describes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,30 @@ from repro.core import (
     evaluate_on_pairs, run_experiment, sensitivity_curve,
 )
 from repro.data import sample_pairs, split_submissions
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+# Prints the (first, second) submission ids of every pair that
+# cross_problem_matrix draws, in draw order.
+_TABLE2_DRAWS = """
+import numpy as np
+from repro.core import cross_problem_matrix
+from repro.corpus.problem import Submission
+
+class Recorder:
+    seen = []
+
+    def predict_probabilities(self, pairs, batch_size=None):
+        self.seen += [(p.first.submission_id, p.second.submission_id)
+                      for p in pairs]
+        return np.full(len(pairs), 0.5)
+
+subs = {tag: [Submission(tag, k, "", float(k), k, 0) for k in range(12)]
+        for tag in ("F", "G", "I")}
+cross_problem_matrix({tag: Recorder() for tag in subs}, subs,
+                     pairs_per_cell=6, seed=3)
+print(Recorder.seen)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +116,20 @@ class TestEvaluation:
         assert threshold0[2] == len(pairs)  # zero threshold keeps every pair
         assert curve[-1][2] == 0    # impossible threshold keeps none
         assert np.isnan(curve[-1][1])
+
+
+    def test_cross_problem_draws_ignore_hash_seed(self):
+        """Table II cells draw the same pairs in every process."""
+        draws = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(SRC))
+            proc = subprocess.run([sys.executable, "-c", _TABLE2_DRAWS],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            draws.append(proc.stdout)
+        assert draws[0].count("(") == 9 * 6
+        assert draws[0] == draws[1]
 
 
 class TestPerformanceGate:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn import backend as nn_backend
-from repro.nn.backend import BufferPool
+from repro.nn.backend import BufferPool, _sigmoid_stable
 from repro.nn.tensor import Tensor
 from repro.nn.treelstm import _segment_reduce, _segment_sum
 
@@ -294,6 +294,124 @@ class TestSegmentSum:
         ids = np.array([0, 2, 2, 0, 1])
         check_gradients(
             lambda: (_segment_sum(x, ids, 4) ** 2).sum(), [x])
+
+
+def _scatter(b, base, rows, values):
+    out = base.copy()
+    b.scatter_add_rows(out, np.asarray(rows), values)
+    return out
+
+
+def _add_at(base, rows, values):
+    out = base.copy()
+    np.add.at(out, np.asarray(rows), values)
+    return out
+
+
+class TestScatterAddRows:
+    """``scatter_add_rows`` is the backward of every ``take_rows`` and
+    ``gather_rows``: unique rows must stay bitwise equal to
+    ``np.add.at``, duplicate rows close to it and deterministic."""
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("shape", [(50, 7), (50,)])
+    def test_unique_rows_bitwise_equal_to_add_at(self, name, shape):
+        rows = np.random.default_rng(2).permutation(shape[0])[:30]
+        with _backend_or_skip(name) as b:
+            base = rand(shape, 1).astype(b.dtype)
+            values = rand((30,) + shape[1:], 3).astype(b.dtype)
+            out = _scatter(b, base, rows, values)
+        assert out.tobytes() == _add_at(base, rows, values).tobytes()
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("shape", [(20, 5), (20,)])
+    def test_duplicate_rows_close_and_deterministic(self, name, shape):
+        # Row 7 is hit 1,000 times, interleaved with 300 other hits.
+        rng = np.random.default_rng(4)
+        rows = np.concatenate([rng.integers(0, 20, 300), np.full(1000, 7)])
+        rng.shuffle(rows)
+        with _backend_or_skip(name) as b:
+            base = rand(shape, 5).astype(b.dtype)
+            values = rand((rows.size,) + shape[1:], 6).astype(b.dtype)
+            outs = [_scatter(b, base, rows, values) for _ in range(3)]
+            tol = backend_tolerance()
+        np.testing.assert_allclose(outs[0], _add_at(base, rows, values),
+                                   rtol=0, atol=tol)
+        assert all(o.tobytes() == outs[0].tobytes() for o in outs[1:])
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("rows", [[-1, 0, 2], [-1, 3, -4, 0, -1]])
+    def test_negative_rows_count_from_the_end(self, name, rows):
+        with _backend_or_skip(name) as b:
+            base = rand((4, 3), 7).astype(b.dtype)
+            values = rand((len(rows), 3), 8).astype(b.dtype)
+            out = _scatter(b, base, rows, values)
+            tol = backend_tolerance()
+        np.testing.assert_allclose(out, _add_at(base, rows, values),
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_negative_rows_through_autograd(self, name):
+        with _backend_or_skip(name):
+            a = Tensor(rand((4, 3), 9), requires_grad=True)
+            b = Tensor(rand((2, 3), 10), requires_grad=True)
+            picked = a[np.array([-1, 0, -1])]
+            taken = a.take_rows(np.array([-2]))
+            gathered = Tensor.gather_rows([a, b], [0, 1, 1], [-4, -1, 0])
+            np.testing.assert_array_equal(taken.data, a.data[[-2]])
+            np.testing.assert_array_equal(
+                gathered.data, np.stack([a.data[0], b.data[1], b.data[0]]))
+            (picked.sum() + taken.sum() + gathered.sum()).backward()
+        np.testing.assert_array_equal(
+            a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1], [2, 2, 2]])
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_empty_rows_are_a_no_op(self, name):
+        with _backend_or_skip(name) as b:
+            base = rand((4, 3), 10).astype(b.dtype)
+            out = _scatter(b, base, np.empty(0, dtype=np.int64),
+                           np.empty((0, 3), dtype=b.dtype))
+        assert out.tobytes() == base.tobytes()
+
+
+def _masked_sigmoid(x):
+    """The historical boolean-mask stable sigmoid (bitwise reference)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidStable:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+             746.0, -746.0, 36.0, -36.0, 88.0, -88.0, 1e-300, -1e-300]
+
+    def _inputs(self, dtype):
+        x = np.concatenate([np.array(self.EDGES), 30.0 * rand(4000, 11)])
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_masked_form(self, dtype):
+        x = self._inputs(dtype)
+        got = _sigmoid_stable(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == _masked_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_on_strided_slices(self, dtype):
+        # The fused iou epilogue applies it to a column slice.
+        grid = self._inputs(dtype)[:4000].reshape(50, 80)
+        for view in (grid[:, :53], grid[::3, 7::2]):
+            assert not view.flags.c_contiguous
+            got = _sigmoid_stable(view)
+            assert got.tobytes() == _masked_sigmoid(view).tobytes()
+
+    def test_tensor_sigmoid_is_the_helper(self):
+        x = Tensor(self._inputs(np.float64))
+        assert x.sigmoid().data.tobytes() == _sigmoid_stable(x.data).tobytes()
 
 
 class TestAddmm:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (ChildSumTreeLSTM, ForestSchedule, LSTM, Tensor,
-                      TreeLSTMStack, TreeSchedule, schedule_for)
+from repro.nn import (ChildSumTreeLSTM, Embedding, ForestSchedule, LSTM,
+                      Tensor, TreeLSTMStack, TreeSchedule, schedule_for)
 
 from ..helpers import backend_tolerance, check_gradients
 
@@ -159,6 +159,59 @@ class TestForestSchedule:
         assert z.shape == (1, 4)
         np.testing.assert_allclose(z.data[0], stack.encode(x, sched).data,
                                    atol=backend_tolerance(1e-12))
+
+
+class TestTablePath:
+    """A first layer fed the embedding table plus node ids projects the
+    table and reads it by id. Root states and every gradient, the
+    table's included, must match the node-level reference: the
+    embedding lookup followed by dense projections over the nodes."""
+
+    VOCAB = 5
+
+    def _schedule(self, kind):
+        if kind == "tree":
+            return TreeSchedule([[1, 2], [3, 4], [], [5], [], []])
+        return ForestSchedule([TreeSchedule(c)
+                               for c in TestForestSchedule.TREES])
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    @pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_node_level_reference(self, kind, direction, layers):
+        sched = self._schedule(kind)
+        rng = np.random.default_rng(layers)
+        ids = rng.integers(0, self.VOCAB, sched.num_nodes)  # repeated types
+        emb = Embedding(self.VOCAB, 3, rng=np.random.default_rng(2))
+        stack = TreeLSTMStack(3, 4, num_layers=layers, direction=direction,
+                              rng=np.random.default_rng(3))
+        named = [("embedding", emb.weight), *stack.named_parameters()]
+        readout = Tensor(rng.normal(size=(len(sched.roots), 4)))
+
+        def run(table_path):
+            for _, p in named:
+                p.zero_grad()
+            if table_path:
+                z = stack.root_states(emb.weight, sched, ids)
+            else:
+                z = stack.root_states(emb(ids), sched)
+            (z * readout).sum().backward()
+            return z.data, [p.grad for _, p in named]
+
+        z_table, grads_table = run(table_path=True)
+        z_ref, grads_ref = run(table_path=False)
+        tol = backend_tolerance(1e-8)
+        np.testing.assert_allclose(z_table, z_ref, rtol=0, atol=tol)
+        for (name, _), got, want in zip(named, grads_table, grads_ref):
+            assert got is not None and want is not None, name
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol,
+                                       err_msg=name)
+
+    def test_node_ids_must_cover_the_schedule(self):
+        cell = ChildSumTreeLSTM(3, 4)
+        table = Tensor(np.zeros((self.VOCAB, 3)))
+        with pytest.raises(ValueError, match="node ids"):
+            cell(table, TreeSchedule([[1], []]), ids=np.array([0, 1, 2]))
 
 
 class TestScheduleMemo:
