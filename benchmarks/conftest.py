@@ -5,9 +5,9 @@ drivers in :mod:`repro.experiments`. The corpora are built once (a few
 minutes of interpreter time) and cached under ``.corpus_cache/`` at the
 repository root; subsequent runs reload in milliseconds.
 
-Rendered outputs are written to ``benchmarks/results/`` so the
-paper-vs-measured comparison in EXPERIMENTS.md can be refreshed from a
-single run.
+Rendered outputs are written to ``benchmarks/results/`` (one text file
+per table or figure, via ``write_result``), so the paper-vs-measured
+comparison comes from a single run.
 """
 
 from __future__ import annotations

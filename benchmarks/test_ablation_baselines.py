@@ -9,7 +9,7 @@ Codeforces submissions, where style noise buries such cues — the gap
 the paper's learned model exists to close). Transfer across problems is
 hard for every comparator trained/fit on a single problem. The bench
 asserts structural validity and the in-domain learnability floor, and
-*reports* the full comparison for EXPERIMENTS.md.
+*reports* the full comparison to ``benchmarks/results/``.
 """
 
 import numpy as np

@@ -135,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="(default: 16)")
     train.add_argument("--seed", type=int, default=None,
                        help="(default: 0)")
-    train.add_argument("--accum-steps", type=int, default=None,
-                       help="gradient accumulation: split each batch "
-                            "into N sub-forests backwarded before one "
-                            "optimizer step (default 1 = fused batch)")
     train.add_argument("--resume", default=None, metavar="CKPT",
                        help="continue a killed run from its training "
                             "checkpoint (bitwise-identical to an "
@@ -386,11 +382,9 @@ def _cmd_train(args) -> int:
                 "--resume continues the checkpointed run; conflicting "
                 "flags: " + ", ".join(conflicts) +
                 ". Drop them (or retrain from scratch).")
-        train_cfg = TrainConfig(**meta["training"]["config"])
+        train_cfg = TrainConfig.from_payload(meta["training"]["config"])
         if args.epochs is not None and args.epochs > train_cfg.epochs:
             train_cfg.epochs = args.epochs
-        if args.accum_steps is not None:
-            train_cfg.accum_steps = args.accum_steps
         config = ExperimentConfig(
             encoder_kind=model_cfg["encoder_kind"],
             embedding_dim=model_cfg["embedding_dim"],
@@ -417,8 +411,7 @@ def _cmd_train(args) -> int:
             embedding_dim=_first(args.embedding_dim, 16),
             hidden_size=_first(args.hidden, 16), train_pairs=pairs,
             eval_pairs=max(20, pairs // 2), seed=seed,
-            train=TrainConfig(epochs=epochs, seed=seed,
-                              accum_steps=_first(args.accum_steps, 1)))
+            train=TrainConfig(epochs=epochs, seed=seed))
         resume_from = None
 
     extra = {

@@ -12,9 +12,7 @@ from .baselines import (
 )
 from .classifier import PairClassifier
 from .encoders import GcnEncoder, LstmEncoder, TreeLstmEncoder
-from .evaluate import (
-    EvalResult, cross_problem_matrix, evaluate_on_pairs, sensitivity_curve,
-)
+from .evaluate import EvalResult, evaluate_on_pairs, sensitivity_curve
 from .features import ForestFeatures, TreeFeatures, TreeFeaturizer, pack_forest
 from .metrics import RocCurve, accuracy, auc, confusion, roc_curve
 from .model import ENCODER_KINDS, ComparativeModel, build_model, model_from_config
@@ -29,8 +27,7 @@ __all__ = [
     "ComparativeModel", "build_model", "model_from_config", "ENCODER_KINDS",
     "TrainConfig", "TrainHistory", "Trainer",
     "accuracy", "confusion", "RocCurve", "roc_curve", "auc",
-    "EvalResult", "evaluate_on_pairs", "cross_problem_matrix",
-    "sensitivity_curve",
+    "EvalResult", "evaluate_on_pairs", "sensitivity_curve",
     "ExperimentConfig", "ExperimentResult", "run_experiment",
     "PerformanceGate",
     "NodeCountHeuristic", "LoopNestingHeuristic",

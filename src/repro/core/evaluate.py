@@ -1,27 +1,23 @@
-"""Experiment-level evaluation: generalization, sensitivity, matrices.
+"""Experiment-level evaluation: generalization and sensitivity.
 
 Implements the measurement protocols of Section VI:
 
 * same-problem accuracy on a disjoint submission split (the line plots
   of Fig. 3),
-* cross-problem accuracy (the boxplots of Fig. 3 and the F/G/I matrix
-  of Table II),
+* cross-problem accuracy (the boxplots of Fig. 3),
 * sensitivity to the minimum runtime gap (Fig. 6).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus.problem import Submission
-from ..data.pairs import CodePair, sample_pairs
+from ..data.pairs import CodePair
 from .trainer import Trainer
 
-__all__ = ["EvalResult", "evaluate_on_pairs", "cross_problem_matrix",
-           "sensitivity_curve"]
+__all__ = ["EvalResult", "evaluate_on_pairs", "sensitivity_curve"]
 
 
 @dataclass
@@ -46,28 +42,6 @@ def evaluate_on_pairs(trainer: Trainer, pairs: list[CodePair],
     return EvalResult(accuracy=accuracy_fn(labels, probs),
                       auc=auc_fn(labels, probs),
                       num_pairs=len(pairs))
-
-
-def cross_problem_matrix(trainers: dict[str, Trainer],
-                         eval_submissions: dict[str, list[Submission]],
-                         pairs_per_cell: int,
-                         seed: int = 0) -> dict[tuple[str, str], float]:
-    """Table II: accuracy of the model trained on row-tag, evaluated on
-    pairs from column-tag submissions.
-
-    Each cell draws its pairs from ``seed`` plus a digest of the two
-    tags, so the draws are the same in every process (``hash()`` of a
-    string changes with ``PYTHONHASHSEED``).
-    """
-    matrix: dict[tuple[str, str], float] = {}
-    for train_tag, trainer in trainers.items():
-        for test_tag, subs in eval_submissions.items():
-            digest = hashlib.sha256(f"{train_tag}\0{test_tag}".encode()).digest()
-            rng = np.random.default_rng(seed + int.from_bytes(digest[:8], "big") % 10_000)
-            pairs = sample_pairs(subs, pairs_per_cell, rng)
-            matrix[(train_tag, test_tag)] = \
-                evaluate_on_pairs(trainer, pairs).accuracy
-    return matrix
 
 
 def sensitivity_curve(trainer: Trainer, pairs: list[CodePair],

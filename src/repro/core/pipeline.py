@@ -60,8 +60,8 @@ def run_experiment(submissions: list[Submission],
                    resume_from=None, resume_cast: bool = False) -> ExperimentResult:
     """Split -> pair -> train (via :mod:`repro.engine`) -> evaluate.
 
-    ``callbacks`` are extra engine callbacks (checkpointing, pruning,
-    custom instrumentation). ``resume_from`` continues a killed run from
+    ``callbacks`` are the engine's callbacks (checkpointing, custom
+    instrumentation). ``resume_from`` continues a killed run from
     its training checkpoint: the data split and pair sample are
     re-derived deterministically from ``config.seed``, while weights,
     optimizer moments, and the shuffle RNG come from the checkpoint —

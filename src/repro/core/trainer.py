@@ -2,8 +2,8 @@
 :class:`repro.engine.Engine` (paper Section IV-D).
 
 ``Trainer.fit`` keeps its longstanding contract — mini-batch BCE over
-code pairs, forest-batched encoding, grad clipping, optional validation
-with early stopping, a fresh run per call — but the loop itself lives in
+code pairs, forest-batched encoding, grad clipping, optional per-epoch
+validation, a fresh run per call — but the loop itself lives in
 :mod:`repro.engine`: one resumable, callback-instrumented engine shared
 by every driver, experiment, HPO trial, and CLI run. ``TrainConfig`` and
 ``TrainHistory`` are re-exported from there unchanged, so existing

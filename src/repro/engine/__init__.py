@@ -2,10 +2,11 @@
 
 Every training flow in the repository (``Trainer``, ``run_experiment``,
 the paper-figure drivers, HPO trials, ``repro train``) is a thin facade
-over one :class:`Engine`: an event-driven epoch/step loop whose optional
-behaviours — metric logging, early stopping, periodic checkpointing,
-trial pruning — are :class:`~repro.engine.callbacks.Callback` objects
-instead of inlined code.
+over one :class:`Engine`: an event-driven epoch/step loop that records
+each epoch's loss (and validation accuracy, when validation pairs are
+given) and each step's pre-clip grad norm in its history, and calls
+:class:`~repro.engine.callbacks.Callback` hooks for everything else —
+periodic checkpointing, telemetry, benchmark timers.
 
 The engine checkpoints *complete* training state (weights + encoder
 config + vocab + optimizer moments + RNG stream + counters + history;
@@ -28,29 +29,25 @@ pass it in::
                 print(f"epoch {engine.state.epoch}: loss plateaued "
                       f"at {losses[-1]:.4f}")
 
-    engine = Engine(model, TrainConfig(epochs=12))
-    engine.add_callback(LossPlateauWarning())
+    engine = Engine(model, TrainConfig(epochs=12),
+                    callbacks=[LossPlateauWarning()])
     history = engine.fit(train_pairs, val_pairs=val_pairs)
 
 Hooks: ``on_fit_start``, ``on_epoch_start``, ``on_batch_end``,
 ``on_epoch_end``, ``on_checkpoint(engine, path)``, ``on_fit_end`` — all
-read ``engine.state`` (losses, val accuracy, grad norms, epoch/step
-counters) and may set ``engine.state.stop_requested``. A callback with a
-``state_key`` plus ``state_dict``/``load_state_dict`` persists itself
-inside training checkpoints (that is how early-stopping patience
-survives a resume).
+read ``engine.state`` (history, val accuracy, last grad norm and step
+time, epoch/step counters). A callback with a ``state_key`` plus
+``state_dict``/``load_state_dict`` persists itself inside training
+checkpoints (that is how a ``MetricsCallback``'s series survive a
+resume).
 """
 
-from .callbacks import (
-    Callback, Checkpointing, EarlyStopping, GradNormLogging, ProgressLogger,
-    standard_callbacks,
-)
+from .callbacks import Callback, Checkpointing
 from .loop import Engine, EngineState, TrainConfig, TrainHistory
 from .run import TrainRun, train_pairs_model
 
 __all__ = [
     "Engine", "EngineState", "TrainConfig", "TrainHistory",
-    "Callback", "GradNormLogging", "EarlyStopping", "ProgressLogger",
-    "Checkpointing", "standard_callbacks",
+    "Callback", "Checkpointing",
     "TrainRun", "train_pairs_model",
 ]

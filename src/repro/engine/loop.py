@@ -4,9 +4,10 @@ Before this module existed the repo carried five hand-rolled copies of
 the epoch/step loop (``Trainer.fit``, ``run_experiment``, the driver
 helper, Fig. 5's inline ablation trainer, and the HPO objective). They
 are all facades over :class:`Engine` now: one loop that owns the
-optimizer, the shuffle RNG, and the metric history, and that emits
-callback events (:mod:`repro.engine.callbacks`) where the old copies
-inlined behaviour.
+optimizer, the shuffle RNG, and the metric history (per-epoch loss and
+validation accuracy, per-step pre-clip grad norm), and that emits
+callback events (:mod:`repro.engine.callbacks`) for checkpointing and
+instrumentation.
 
 The loop is **resumable**: :meth:`Engine.save_checkpoint` writes a
 format-v2 checkpoint (weights + encoder config + vocab + optimizer
@@ -35,6 +36,13 @@ from ..nn.tensor import Tensor, no_grad
 __all__ = ["TrainConfig", "TrainHistory", "EngineState", "Engine"]
 
 
+# Options a training checkpoint written before their removal still
+# stores, each with the value that switched it off. Only that value
+# loads: with any other, the stored run cannot be continued faithfully.
+_REMOVED_OPTIONS = {"accum_steps": 1, "early_stop_patience": 0,
+                    "verbose": False}
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 12
@@ -42,16 +50,19 @@ class TrainConfig:
     learning_rate: float = 5e-3
     grad_clip: float = 5.0
     seed: int = 0
-    early_stop_patience: int = 0   # 0 disables early stopping
-    verbose: bool = False
     eval_batch_size: int = 64      # forest size for bulk inference
-    # Gradient accumulation: each batch's loss is computed over
-    # accum_steps near-equal sub-forests whose (loss-weighted) gradients
-    # sum before the single optimizer step — the optimizer sees the same
-    # objective as one fused batch, but peak graph memory shrinks by
-    # ~accum_steps for forests too large to encode fused. 1 = fused
-    # (bitwise-identical to the historical loop).
-    accum_steps: int = 1
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "TrainConfig":
+        """The config a training checkpoint stores (``asdict`` form)."""
+        payload = dict(payload)
+        for key, off in _REMOVED_OPTIONS.items():
+            value = payload.pop(key, off)
+            if value != off:
+                raise ValueError(
+                    f"checkpoint config sets the removed option "
+                    f"{key}={value!r}; only {key}={off!r} can resume")
+        return cls(**payload)
 
 
 @dataclass
@@ -59,7 +70,6 @@ class TrainHistory:
     losses: list[float] = field(default_factory=list)
     val_accuracies: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
-    stopped_early: bool = False
 
     def to_payload(self) -> dict:
         return asdict(self)
@@ -70,8 +80,7 @@ class TrainHistory:
                    val_accuracies=[float(x) for x in
                                    payload.get("val_accuracies", [])],
                    grad_norms=[float(x) for x in
-                               payload.get("grad_norms", [])],
-                   stopped_early=bool(payload.get("stopped_early", False)))
+                               payload.get("grad_norms", [])])
 
 
 @dataclass
@@ -79,17 +88,14 @@ class EngineState:
     """Mutable run state, visible to callbacks as ``engine.state``.
 
     ``epoch``/``step`` count *completed* epochs and optimizer steps.
-    The ``last_*`` / ``val_accuracy`` fields are the per-event values a
-    callback reads inside its hook (``val_accuracy`` is ``None`` on
-    epochs without validation data).
+    The ``last_*`` / ``epoch_loss`` / ``val_accuracy`` fields are the
+    per-event values a callback reads inside its hook (``val_accuracy``
+    is ``None`` on epochs without validation data).
     """
 
     epoch: int = 0
     step: int = 0
     history: TrainHistory = field(default_factory=TrainHistory)
-    stop_requested: bool = False
-    batch_index: int = -1
-    last_loss: float = float("nan")
     last_grad_norm: float = float("nan")
     # wall time of the last optimizer step (forward+backward+clip+step),
     # read by telemetry callbacks; purely observational, never fed back
@@ -129,22 +135,16 @@ class Engine:
         Defaults to Adam at ``config.learning_rate`` (the setup every
         experiment in the paper uses).
     callbacks:
-        Iterable of :class:`~repro.engine.callbacks.Callback`. ``None``
-        installs the standard set derived from the config (grad-norm
-        logging, early stopping when ``early_stop_patience > 0``, a
-        progress line when ``verbose``); pass an explicit list — even an
-        empty one — to take full control.
+        Iterable of :class:`~repro.engine.callbacks.Callback`, installed
+        as given; hooks fire in this order.
     """
 
     def __init__(self, model, config: TrainConfig | None = None,
-                 optimizer: Optimizer | None = None, callbacks=None):
+                 optimizer: Optimizer | None = None, callbacks=()):
         self.model = model
         self.config = config or TrainConfig()
         self.optimizer = optimizer or Adam(model.parameters(),
                                            lr=self.config.learning_rate)
-        if callbacks is None:
-            from .callbacks import standard_callbacks
-            callbacks = standard_callbacks(self.config)
         self.callbacks = list(callbacks)
         self.state = EngineState()
         self.rng = np.random.default_rng(self.config.seed)
@@ -196,31 +196,15 @@ class Engine:
         """Backward the batch objective into parameter grads; return the
         batch loss.
 
-        With ``accum_steps == 1`` this is one fused forest encode +
-        backward — bitwise-identical to the historical loop. With more,
-        the batch splits into near-equal sub-forests whose losses are
-        weighted by sub-batch fraction (so the summed gradient equals
-        the fused batch's mean-loss gradient up to float addition
-        order) and backwarded one at a time: peak graph memory drops by
-        ~accum_steps. Intermediate gradient buffers are released to the
-        pool as each backward sweep consumes them.
+        One fused forest encode + backward; intermediate gradient
+        buffers go back to the pool as the backward sweep consumes them.
+        This stays a method so the batch's autograd graph dies with its
+        frame: inlined into ``fit``, the ``loss`` local would keep the
+        previous graph alive while the next batch builds its own.
         """
-        accum = max(1, int(getattr(self.config, "accum_steps", 1)))
-        if accum <= 1 or len(batch) < 2:
-            loss = self._batch_loss(batch)
-            loss.backward(free_buffers=True)
-            return loss.item()
-        total = 0.0
-        n = len(batch)
-        bounds = np.linspace(0, n, min(accum, n) + 1).astype(int)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            chunk = batch[int(start):int(stop)]
-            if not chunk:
-                continue
-            loss = self._batch_loss(chunk) * (len(chunk) / n)
-            loss.backward(free_buffers=True)
-            total += loss.item()
-        return total
+        loss = self._batch_loss(batch)
+        loss.backward(free_buffers=True)
+        return loss.item()
 
     # ------------------------------------------------------------------
     # the loop
@@ -235,7 +219,8 @@ class Engine:
             callback.reset()
 
     def fit(self, train_pairs, val_pairs=None) -> TrainHistory:
-        """Train until ``config.epochs`` (or a callback requests a stop).
+        """Train until ``config.epochs``, scoring ``val_pairs`` (when
+        given) after every epoch.
 
         Calling ``fit`` again restarts from scratch (same semantics as
         the historical ``Trainer.fit``) — except on an engine freshly
@@ -246,7 +231,6 @@ class Engine:
             raise ValueError("no training pairs")
         if self._resumed:
             self._resumed = False
-            self.state.stop_requested = False
         else:
             self._reset_run()
         cfg = self.config
@@ -266,15 +250,13 @@ class Engine:
                 # start of the *next* batch so on_batch_end callbacks can
                 # still inspect them after the step).
                 self._release_param_grads()
-                batch_loss = self._accumulate_gradients(batch)
+                epoch_loss += self._accumulate_gradients(batch)
                 norm = clip_grad_norm(self.model.parameters(), cfg.grad_clip)
                 self.optimizer.step()
                 state.step += 1
-                state.batch_index = batches
-                state.last_loss = batch_loss
                 state.last_grad_norm = norm
+                state.history.grad_norms.append(norm)
                 state.last_step_s = time.perf_counter() - step_started
-                epoch_loss += state.last_loss
                 batches += 1
                 self._emit("on_batch_end")
             state.epoch = epoch + 1
@@ -285,8 +267,6 @@ class Engine:
                 state.val_accuracy = self.evaluate_accuracy(val_pairs)
                 state.history.val_accuracies.append(state.val_accuracy)
             self._emit("on_epoch_end")
-            if state.stop_requested:
-                break
         self._emit("on_fit_end")
         return state.history
 
@@ -369,18 +349,15 @@ class Engine:
 
     @classmethod
     def from_checkpoint(cls, path, config: TrainConfig | None = None,
-                        callbacks=None, extra_callbacks=(),
-                        cast: bool = False) -> "Engine":
+                        callbacks=(), cast: bool = False) -> "Engine":
         """Rebuild a mid-run engine from a training checkpoint.
 
         ``config`` overrides the stored :class:`TrainConfig` (e.g. to
-        extend ``epochs``); ``extra_callbacks`` are appended after the
-        standard set (or after an explicit ``callbacks`` list). Every
-        callback is installed *before* the state restore, so any whose
-        ``state_key`` matches a stored entry — standard or extra —
-        gets its checkpointed state back (early-stopping patience
-        counters survive the restart). The first ``fit`` after this
-        continues from the checkpointed epoch.
+        extend ``epochs``). ``callbacks`` are installed *before* the
+        state restore, so any whose ``state_key`` matches a stored entry
+        gets its checkpointed state back (a ``MetricsCallback``'s series
+        continue). The first ``fit`` after this continues from the
+        checkpointed epoch.
 
         ``cast=True`` permits resuming a checkpoint whose recorded dtype
         differs from the active backend's (weights and optimizer moments
@@ -391,7 +368,7 @@ class Engine:
         from ..serve.checkpoint import load_training_checkpoint
 
         model, optimizer, training = load_training_checkpoint(path, cast=cast)
-        stored = TrainConfig(**training["config"])
+        stored = TrainConfig.from_payload(training["config"])
         if config is not None:
             # The override wins for every TrainConfig knob, including the
             # one the restored optimizer carries: without this, a
@@ -399,7 +376,5 @@ class Engine:
             optimizer.lr = config.learning_rate
         engine = cls(model, config=config or stored, optimizer=optimizer,
                      callbacks=callbacks)
-        for callback in extra_callbacks:
-            engine.add_callback(callback)
         engine.restore_training_state(training)
         return engine

@@ -33,7 +33,7 @@ class TrainRun:
 
 
 def train_pairs_model(pairs, *, train: TrainConfig | None = None,
-                      val_pairs=None, callbacks=(), model=None,
+                      callbacks=(), model=None,
                       encoder_kind: str = "treelstm", embedding_dim: int = 32,
                       hidden_size: int = 32, num_layers: int = 1,
                       direction: str = "alternating",
@@ -41,10 +41,7 @@ def train_pairs_model(pairs, *, train: TrainConfig | None = None,
                       resume_from=None, resume_cast: bool = False) -> TrainRun:
     """Build (or resume) a model and fit it on ``pairs`` via the engine.
 
-    ``callbacks`` are appended after the standard set (grad-norm
-    logging, early stopping, verbosity — see
-    :func:`~repro.engine.callbacks.standard_callbacks`), so control-flow
-    extras like pruning or checkpointing observe fully-updated state.
+    ``callbacks`` are the engine's callbacks (checkpointing, telemetry).
     With ``resume_from`` set, the model/optimizer/RNG come from that
     training checkpoint and ``fit`` continues at the stored epoch —
     ``pairs`` must be the same training pairs the checkpointed run used
@@ -57,7 +54,7 @@ def train_pairs_model(pairs, *, train: TrainConfig | None = None,
         # callbacks ride along into from_checkpoint so stateful ones are
         # installed before the restore and recover their saved state
         engine = Engine.from_checkpoint(resume_from, config=train,
-                                        extra_callbacks=callbacks,
+                                        callbacks=callbacks,
                                         cast=resume_cast)
     else:
         # Imported lazily: repro.core imports the engine package (the
@@ -70,8 +67,6 @@ def train_pairs_model(pairs, *, train: TrainConfig | None = None,
                 hidden_size=hidden_size, num_layers=num_layers,
                 direction=direction, classifier_hidden=classifier_hidden,
                 seed=seed)
-        engine = Engine(model, train or TrainConfig())
-        for callback in callbacks:
-            engine.add_callback(callback)
-    history = engine.fit(pairs, val_pairs=val_pairs)
+        engine = Engine(model, train or TrainConfig(), callbacks=callbacks)
+    history = engine.fit(pairs)
     return TrainRun(model=engine.model, engine=engine, history=history)

@@ -4,7 +4,7 @@ Every driver takes a :class:`~repro.experiments.profiles.ScaleProfile`
 and the cached corpora, runs the experiment at that scale, and returns
 a result object with a ``render()`` method that prints the same rows /
 series the paper reports. The pytest-benchmark harness calls these
-one-to-one; EXPERIMENTS.md records their output against the paper.
+one-to-one and writes each rendered result to ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..core import (
 from ..corpus.problem import Submission
 from ..data import sample_pairs, split_submissions, subset_submissions
 from ..engine import train_pairs_model
-from ..tuning import Study, TpeLiteSampler, TrialPruningCallback
+from ..tuning import Study, TpeLiteSampler
 from ..viz import (
     box_summary, code_embedding_map, line_plot, node_embedding_atlas,
     scatter_plot, table,
@@ -487,17 +487,12 @@ class HpoResult:
 
 
 def run_hpo(table1_db: SubmissionDatabase, profile: ScaleProfile,
-            tag: str = "C", n_trials: int = 6, seed: int = 0,
-            pruner=None) -> HpoResult:
-    """Section V-C hyper-parameter search, every trial through the engine.
-
-    With a ``pruner`` (e.g. :class:`repro.tuning.MedianPruner`), each
-    trial trains with validation enabled and a
-    :class:`~repro.tuning.TrialPruningCallback` that reports per-epoch
-    accuracy and abandons runs the pruner rejects; ``None`` (default)
-    keeps the exhaustive behaviour the checked-in benchmark numbers
-    were recorded with.
-    """
+            tag: str = "C", n_trials: int = 6,
+            seed: int = 0) -> HpoResult:
+    """Section V-C hyper-parameter search over GCN depth and width: each
+    of ``n_trials`` trials trains through the engine and is scored on
+    held-out pairs, and a tree-LSTM at the profile's size is trained
+    for comparison."""
     subs = table1_db.submissions(tag)
     rng = np.random.default_rng(seed)
     train_subs, test_subs = split_submissions(subs, 0.75, rng)
@@ -511,17 +506,13 @@ def run_hpo(table1_db: SubmissionDatabase, profile: ScaleProfile,
             train_pairs, encoder_kind="gcn",
             embedding_dim=profile.embedding_dim, hidden_size=hidden,
             num_layers=layers, seed=seed,
-            val_pairs=test_pairs if pruner is not None else None,
-            callbacks=([TrialPruningCallback(trial)]
-                       if pruner is not None else ()),
             train=TrainConfig(
                 epochs=max(2, profile.epochs // 2),
                 batch_size=profile.batch_size,
                 learning_rate=profile.learning_rate, seed=seed))
         return evaluate_on_pairs(run.engine, test_pairs).accuracy
 
-    study = Study(direction="maximize", sampler=TpeLiteSampler(seed=seed),
-                  pruner=pruner)
+    study = Study(direction="maximize", sampler=TpeLiteSampler(seed=seed))
     study.optimize(objective, n_trials=n_trials)
 
     trained = train_problem_model(subs, profile, seed=seed, tag=tag)

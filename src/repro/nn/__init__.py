@@ -22,7 +22,7 @@ from .loss import bce_with_logits
 from .module import Module, Parameter
 from .optim import Adam, Optimizer, clip_grad_norm
 from .rnn import LSTM, LSTMCell
-from .serialize import load_state, save_state
+from .serialize import save_state
 from .tensor import Tensor, no_grad
 from .treelstm import (DIRECTIONS, ChildSumTreeLSTM, ForestSchedule,
                        TreeLSTMStack, TreeSchedule, schedule_for)
@@ -36,5 +36,5 @@ __all__ = [
     "GCN", "GraphConv", "normalized_adjacency",
     "bce_with_logits",
     "Optimizer", "Adam", "clip_grad_norm",
-    "save_state", "load_state",
+    "save_state",
 ]

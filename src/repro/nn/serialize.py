@@ -1,18 +1,14 @@
-"""Save/load module state dicts as ``.npz`` archives.
+"""Save/load ``name -> array`` mappings as ``.npz`` archives with a
+JSON metadata header.
 
-Two layers live here:
-
-* ``save_state`` / ``load_state`` — the plain ``name -> array`` mapping
-  used since the first training CLI. Paths are normalized to the
-  ``.npz`` suffix on *both* ends (``np.savez`` silently appends it, so
-  a suffixless path used to save fine and then fail to load).
-* an optional **metadata header**: ``save_state(..., meta=...)`` embeds
-  one JSON document alongside the arrays under the reserved
-  ``__meta__`` key, and ``load_state_with_meta`` recovers both halves.
-  Archives written without metadata load unchanged, and ``load_state``
-  on an archive *with* metadata transparently drops the header — the
-  two formats are mutually back-compatible. The versioned model
-  checkpoints of :mod:`repro.serve.checkpoint` ride on this header.
+``save_state(state, path, meta)`` embeds one JSON document alongside
+the arrays under the reserved ``__meta__`` key, and
+``load_state_with_meta`` recovers both halves (``meta`` is ``None`` for
+a foreign archive without the header). Paths are normalized to the
+``.npz`` suffix on *both* ends (``np.savez`` silently appends it, so a
+suffixless path used to save fine and then fail to load). The
+versioned model checkpoints of :mod:`repro.serve.checkpoint` are the
+one format written through here.
 """
 
 from __future__ import annotations
@@ -23,10 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "save_state", "load_state", "load_state_with_meta", "load_meta",
-    "METADATA_KEY",
-]
+__all__ = ["save_state", "load_state_with_meta", "load_meta",
+           "METADATA_KEY"]
 
 METADATA_KEY = "__meta__"
 
@@ -39,8 +33,8 @@ def _normalize(path) -> Path:
     return path
 
 
-def save_state(state: dict, path, meta: dict | None = None) -> Path:
-    """Write a ``name -> array`` mapping (plus optional JSON metadata).
+def save_state(state: dict, path, meta: dict) -> Path:
+    """Write a ``name -> array`` mapping plus its JSON metadata.
 
     ``meta`` must be JSON-serializable; it is stored under the reserved
     ``__meta__`` key, which therefore cannot be a state-dict entry.
@@ -56,9 +50,8 @@ def save_state(state: dict, path, meta: dict | None = None) -> Path:
     path = _normalize(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {k: np.asarray(v) for k, v in state.items()}
-    if meta is not None:
-        arrays[METADATA_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    arrays[METADATA_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                         dtype=np.uint8)
     # .npz-suffixed staging name so np.savez writes it verbatim
     staging = path.with_name(path.name + ".tmp.npz")
     try:
@@ -67,12 +60,6 @@ def save_state(state: dict, path, meta: dict | None = None) -> Path:
     finally:
         staging.unlink(missing_ok=True)
     return path
-
-
-def load_state(path) -> dict:
-    """Arrays only — any metadata header is silently dropped."""
-    state, _ = load_state_with_meta(path)
-    return state
 
 
 def load_state_with_meta(path, skip_prefix: str | None = None

@@ -1,9 +1,12 @@
 """`MetricsCallback`: training telemetry on the obs registry.
 
-Records, per epoch: mean loss, last grad-norm, validation accuracy
-(when present), buffer-pool occupancy from the active kernel backend,
-and a step-latency histogram — all labelled with the backend name and
-dtype so a numpy64 run and a cnative run produce distinguishable series.
+Publishes the engine's run as scrape-able families: epoch and step
+counters, the last epoch's mean loss, the last step's grad norm, the
+last validation accuracy (when present), buffer-pool occupancy from the
+active kernel backend, and a step-latency histogram — all labelled with
+the backend name and dtype so a numpy64 run and a cnative run produce
+distinguishable series. The per-epoch and per-step series themselves
+live once, in the engine's ``TrainHistory``.
 
 Two invariants the engine tests hold this callback to:
 
@@ -11,16 +14,14 @@ Two invariants the engine tests hold this callback to:
   backend's pool stats. It never touches the model, optimizer, or the
   engine's shuffle RNG, so a run with the callback attached produces
   bitwise-identical weights/history to a run without it.
-* **resume-exact** — the registry snapshot and epoch records persist
-  through the existing ``state_key`` mechanism into format-v2
-  checkpoints (JSON floats round-trip exactly via ``repr``), so a
-  killed-and-resumed run carries its metric history forward instead of
-  restarting the series.
+* **resume-exact** — the registry snapshot persists through the
+  existing ``state_key`` mechanism into format-v2 checkpoints (JSON
+  floats round-trip exactly via ``repr``), so a killed-and-resumed run
+  carries its counters and histogram forward instead of restarting
+  them.
 """
 
 from __future__ import annotations
-
-import time
 
 from ..engine.callbacks import Callback
 from .metrics import LATENCY_BUCKETS_S, MetricsRegistry
@@ -47,7 +48,6 @@ class MetricsCallback(Callback):
     def __init__(self, registry: MetricsRegistry | None = None,
                  step_buckets=LATENCY_BUCKETS_S):
         self.registry = registry or MetricsRegistry()
-        self.records: list[dict] = []
         labels = ("backend", "dtype")
         r = self.registry
         self._epochs = r.counter(
@@ -74,7 +74,6 @@ class MetricsCallback(Callback):
             "repro_train_pool", "backend buffer-pool stats at epoch end",
             labels + ("stat",), agg="last")
         self._labels = None
-        self._fallback_timer = None
 
     # -- helpers -------------------------------------------------------
     def _backend_labels(self):
@@ -86,30 +85,15 @@ class MetricsCallback(Callback):
         return self._labels
 
     # -- hooks (read-only over engine state) ---------------------------
-    def reset(self) -> None:
-        self.records = []
-
     def on_fit_start(self, engine) -> None:
         self._labels = None          # backend may have changed between fits
         self._backend_labels()
-
-    def on_epoch_start(self, engine) -> None:
-        self._fallback_timer = None
 
     def on_batch_end(self, engine) -> None:
         labels = self._backend_labels()
         self._steps.labels(*labels).inc()
         state = engine.state
-        step_s = getattr(state, "last_step_s", None)
-        if step_s is None:
-            # engine without step timing: fall back to batch-to-batch
-            # wall time measured here (first batch of an epoch skipped)
-            now = time.perf_counter()
-            if self._fallback_timer is not None:
-                step_s = now - self._fallback_timer
-            self._fallback_timer = now
-        if step_s is not None:
-            self._step_latency.labels(*labels).observe(step_s)
+        self._step_latency.labels(*labels).observe(state.last_step_s)
         grad_norm = state.last_grad_norm
         if grad_norm == grad_norm:                 # skip NaN
             self._grad_norm.labels(*labels).set(grad_norm)
@@ -119,26 +103,20 @@ class MetricsCallback(Callback):
         state = engine.state
         self._epochs.labels(*labels).inc()
         self._loss.labels(*labels).set(state.epoch_loss)
-        record = {"epoch": state.epoch, "loss": state.epoch_loss,
-                  "grad_norm": state.last_grad_norm}
         if state.val_accuracy is not None:
             self._val_acc.labels(*labels).set(state.val_accuracy)
-            record["val_accuracy"] = state.val_accuracy
         from ..nn import backend as nn_backend
-        pool_stats = nn_backend.active().pool.stats()
-        for stat, value in pool_stats.items():
+        for stat, value in nn_backend.active().pool.stats().items():
             self._pool.labels(*labels, str(stat)).set(value)
-        record["pool"] = dict(pool_stats)
-        self.records.append(record)
 
     # -- checkpoint persistence (state_key mechanism) ------------------
     def state_dict(self) -> dict:
-        return {"registry": self.registry.snapshot(),
-                "records": list(self.records)}
+        return {"registry": self.registry.snapshot()}
 
     def load_state_dict(self, state: dict) -> None:
+        # a checkpoint from before the per-epoch records were dropped
+        # also stores "records"; the history holds those series now
         self.registry.restore(state.get("registry", {}))
-        self.records = [dict(r) for r in state.get("records", [])]
 
     # -- convenience ---------------------------------------------------
     def snapshot(self) -> dict:

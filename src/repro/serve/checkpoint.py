@@ -22,7 +22,7 @@ Format versions
   step counter as extra arrays under the reserved ``__train__.``
   prefix), the shuffle RNG's bit-generator state, epoch/step counters,
   the metric history, and checkpoint-persistent callback state (e.g.
-  early-stopping patience). Written by
+  a ``MetricsCallback``'s registry). Written by
   :func:`save_training_checkpoint` / ``Engine.save_checkpoint``.
 
 Both versions load for inference through :func:`load_checkpoint` (v2's
@@ -60,7 +60,7 @@ TRAINING_KEY_PREFIX = "__train__."
 
 
 class NotACheckpointError(ValueError):
-    """The archive is a plain state dict, not a versioned checkpoint.
+    """The archive is not a versioned checkpoint (a foreign ``.npz``).
 
     Distinct from other ``ValueError``s (e.g. a *newer-version*
     checkpoint) so a caller can tell an archive that was never a
@@ -175,8 +175,7 @@ def save_training_checkpoint(engine, path, extra: dict | None = None) -> Path:
 def _validated_meta(meta: dict | None, path) -> dict:
     if meta is None or meta.get("format") != CHECKPOINT_FORMAT:
         raise NotACheckpointError(
-            f"{path} is not a {CHECKPOINT_FORMAT} archive (plain state "
-            "dicts load via repro.nn.serialize.load_state)")
+            f"{path} is not a {CHECKPOINT_FORMAT} archive")
     version = meta.get("version")
     if not isinstance(version, int) or version > CHECKPOINT_VERSION:
         raise ValueError(

@@ -94,7 +94,7 @@ class WorkerHandle:
         self.shard = shard
         self.generation = generation
         self.proc = proc
-        self.state = "starting"          # -> ready -> draining/dead
+        self.state = "starting"          # -> ready -> exiting/draining/dead
         self.retired = False             # replaced by a swap: no restart
         self.model: dict | None = None   # checkpoint signature from hello
         self.pid = proc.pid
@@ -515,9 +515,14 @@ class Supervisor:
         try:
             handle.send(ticket)
         except OSError:
-            # Died between pick and write: reclaim (if the exit path
-            # has not already) and walk the retry chain.
+            # Died between pick and write: route nothing more to it
+            # (its reader may not have seen the pipe close yet, and a
+            # retry picking it again would fail the same way), reclaim
+            # the ticket (if the exit path has not already) and walk the
+            # retry chain. The exit path still counts the death.
             with self._lock:
+                if handle.state == "ready":
+                    handle.state = "exiting"
                 still_ours = handle.inflight.pop(ticket.tid, None)
             if still_ours is not None:
                 self._retry_or_fail(ticket)

@@ -1,15 +1,13 @@
 """Hyper-parameter optimization (Optuna stand-in, paper Section V-C).
 
-Trials train through :class:`repro.engine.Engine`; attach a
-:class:`TrialPruningCallback` to report per-epoch validation metrics
-and let a :class:`MedianPruner` abandon dead-end configurations early.
+A :class:`Study` runs an objective over ``n_trials`` trials, each
+drawing its parameters from a sampler that sees the finished trials.
+``run_hpo`` in :mod:`repro.experiments` trains every trial through
+:class:`repro.engine.Engine`.
 """
 
 from .samplers import RandomSampler, TpeLiteSampler
-from .search import (
-    FrozenTrial, MedianPruner, Study, Trial, TrialPruned,
-    TrialPruningCallback,
-)
+from .search import FrozenTrial, Study, Trial
 
-__all__ = ["Study", "Trial", "FrozenTrial", "TrialPruned", "MedianPruner",
-           "TrialPruningCallback", "RandomSampler", "TpeLiteSampler"]
+__all__ = ["Study", "Trial", "FrozenTrial", "RandomSampler",
+           "TpeLiteSampler"]

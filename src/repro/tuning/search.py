@@ -3,43 +3,30 @@
 The paper tunes GCN depth/width and tree-LSTM sizes with Optuna. This
 module reproduces the ergonomics::
 
-    study = Study(direction="maximize", sampler=TpeLiteSampler(seed=1),
-                  pruner=MedianPruner())
+    study = Study(direction="maximize", sampler=TpeLiteSampler(seed=1))
     study.optimize(objective, n_trials=20)
     study.best_trial.params
 
 where ``objective(trial)`` calls ``trial.suggest_int("layers", 1, 16)``
-etc. and returns the validation metric. Objectives that train through
-:class:`repro.engine.Engine` get pruning for free: attach a
-:class:`TrialPruningCallback` and each epoch's validation accuracy is
-reported to the trial, with :class:`TrialPruned` raised as soon as the
-study's pruner rejects the partial run.
+etc. and returns the validation metric. Every trial runs to completion;
+the sampler sees each finished trial's value when it suggests the next
+parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..engine.callbacks import Callback
 from .samplers import RandomSampler
 
-__all__ = ["Trial", "FrozenTrial", "Study", "TrialPruned", "MedianPruner",
-           "TrialPruningCallback"]
-
-
-class TrialPruned(Exception):
-    """Raised by an objective to abandon a trial early."""
+__all__ = ["Trial", "FrozenTrial", "Study"]
 
 
 @dataclass
 class FrozenTrial:
     number: int
-    value: float | None
+    value: float
     params: dict = field(default_factory=dict)
-    state: str = "COMPLETE"
-    intermediate: dict = field(default_factory=dict)   # step -> value
 
 
 class Trial:
@@ -49,11 +36,10 @@ class Trial:
         self.number = number
         self._study = study
         self.params: dict = {}
-        self.intermediate: dict = {}   # step -> reported value
 
     def _history_for(self, name: str):
         return [(t.value, t.params[name]) for t in self._study.trials
-                if t.state == "COMPLETE" and name in t.params]
+                if name in t.params]
 
     def suggest_int(self, name: str, low: int, high: int) -> int:
         if low > high:
@@ -81,91 +67,16 @@ class Trial:
         self.params[name] = value
         return value
 
-    # ------------------------------------------------------------------
-    # intermediate reporting / pruning (Optuna's trial.report protocol)
-    # ------------------------------------------------------------------
-    def report(self, value: float, step: int) -> None:
-        """Record an intermediate metric (e.g. epoch validation accuracy)."""
-        self.intermediate[int(step)] = float(value)
-
-    def should_prune(self) -> bool:
-        """Ask the study's pruner whether this partial run is a dead end.
-
-        Always ``False`` without a pruner, so objectives can call this
-        unconditionally.
-        """
-        pruner = self._study.pruner
-        return pruner is not None and pruner.should_prune(self._study, self)
-
-
-class MedianPruner:
-    """Prune a trial whose intermediate value falls below (for maximize;
-    above for minimize) the median of completed trials at the same step.
-
-    ``n_warmup_trials`` completed trials are required before anything is
-    pruned, and the first ``n_warmup_steps`` reports of each trial are
-    always allowed through — both guards keep early noise from killing
-    good configurations, mirroring Optuna's MedianPruner knobs.
-    """
-
-    def __init__(self, n_warmup_trials: int = 2, n_warmup_steps: int = 1):
-        if n_warmup_trials < 1 or n_warmup_steps < 0:
-            raise ValueError("warmup counts must be positive")
-        self.n_warmup_trials = n_warmup_trials
-        self.n_warmup_steps = n_warmup_steps
-
-    def should_prune(self, study: "Study", trial: Trial) -> bool:
-        if not trial.intermediate:
-            return False
-        step = max(trial.intermediate)
-        if step <= self.n_warmup_steps:
-            return False
-        peers = [t.intermediate[step] for t in study.trials
-                 if t.state == "COMPLETE" and step in t.intermediate]
-        if len(peers) < self.n_warmup_trials:
-            return False
-        median = float(np.median(peers))
-        value = trial.intermediate[step]
-        if study.direction == "maximize":
-            return value < median
-        return value > median
-
-
-class TrialPruningCallback(Callback):
-    """Engine callback bridging ``Engine.fit`` to the trial protocol.
-
-    Each epoch's validation accuracy is reported at ``step = epoch``;
-    when the study's pruner rejects the partial run, :class:`TrialPruned`
-    propagates out of ``Engine.fit`` and ``Study.optimize`` records the
-    trial as PRUNED. Requires the objective to pass ``val_pairs`` so the
-    engine produces a validation metric.
-    """
-
-    def __init__(self, trial: Trial):
-        self.trial = trial
-
-    def on_epoch_end(self, engine) -> None:
-        accuracy = engine.state.val_accuracy
-        if accuracy is None:
-            return
-        self.trial.report(accuracy, step=engine.state.epoch)
-        if self.trial.should_prune():
-            raise TrialPruned(
-                f"trial {self.trial.number} pruned at epoch "
-                f"{engine.state.epoch}")
-
 
 class Study:
     """Sequential optimization loop over trials."""
 
     def __init__(self, direction: str = "maximize",
-                 sampler: RandomSampler | None = None,
-                 pruner: MedianPruner | None = None):
+                 sampler: RandomSampler | None = None):
         if direction not in ("maximize", "minimize"):
             raise ValueError("direction must be 'maximize' or 'minimize'")
         self.direction = direction
         self.sampler = sampler or RandomSampler()
-        self.pruner = pruner
         self.trials: list[FrozenTrial] = []
 
     # ------------------------------------------------------------------
@@ -174,28 +85,21 @@ class Study:
             raise ValueError("n_trials must be >= 1")
         for _ in range(n_trials):
             trial = Trial(len(self.trials), self)
-            try:
-                value = float(objective(trial))
-                state = "COMPLETE"
-            except TrialPruned:
-                value = None
-                state = "PRUNED"
+            value = float(objective(trial))
             self.trials.append(FrozenTrial(
-                number=trial.number, value=value, params=dict(trial.params),
-                state=state, intermediate=dict(trial.intermediate)))
+                number=trial.number, value=value, params=dict(trial.params)))
 
     # ------------------------------------------------------------------
     @property
     def best_trial(self) -> FrozenTrial:
-        completed = [t for t in self.trials if t.state == "COMPLETE"]
-        if not completed:
+        if not self.trials:
             raise ValueError("no completed trials")
         key = (max if self.direction == "maximize" else min)
-        return key(completed, key=lambda t: t.value)
+        return key(self.trials, key=lambda t: t.value)
 
     @property
     def best_value(self) -> float:
-        return self.best_trial.value  # type: ignore[return-value]
+        return self.best_trial.value
 
     @property
     def best_params(self) -> dict:

@@ -1,5 +1,5 @@
-"""Backend-facing training guarantees: gradient accumulation matches
-the fused step, resume stays bitwise *within* each backend, and
+"""Backend-facing training guarantees: the pooled training step is
+repeatable bit for bit, resume stays bitwise *within* each backend, and
 checkpoints refuse a silent cross-dtype load."""
 
 import numpy as np
@@ -28,50 +28,22 @@ def _model(kind="gcn", seed=2):
                        seed=seed)
 
 
-class TestAccumSteps:
-    def _grads(self, corpus, accum: int):
+class TestFusedStep:
+    def _grads(self, corpus):
         pairs = sample_pairs(corpus, 12, np.random.default_rng(3))
         engine = Engine(_model(), TrainConfig(epochs=1, batch_size=12,
-                                              seed=7, accum_steps=accum))
+                                              seed=7))
         batch = engine._featurize_pairs(pairs)
-        loss = engine._accumulate_gradients(batch)
-        return loss, [p.grad.copy() for p in engine.optimizer.parameters]
+        engine._accumulate_gradients(batch)
+        return [p.grad.copy() for p in engine.optimizer.parameters]
 
-    def test_accumulated_grads_match_fused(self, corpus_c):
-        loss1, fused = self._grads(corpus_c, accum=1)
-        loss3, chunked = self._grads(corpus_c, accum=3)
-        # Chunk losses are weighted by len(chunk)/n, so the sum is the
-        # batch mean up to summation order — same for the gradients.
-        # The bar scales with the active dtype (fp32 reorders round off
-        # at the documented tolerance).
-        fp64 = nn_backend.default_dtype() == np.float64
-        assert loss3 == pytest.approx(loss1, abs=1e-12 if fp64 else 1e-5)
-        atol, rtol = (1e-10, 1e-9) if fp64 else (3e-4, 1e-3)
-        for g_fused, g_chunked in zip(fused, chunked):
-            np.testing.assert_allclose(g_chunked, g_fused,
-                                       atol=atol, rtol=rtol)
-
-    def test_accum_one_is_bitwise_baseline(self, corpus_c):
-        # accum_steps=1 must be the exact historical step (the pooled
-        # buffers start zeroed, so values cannot differ).
-        _, a = self._grads(corpus_c, accum=1)
-        _, b = self._grads(corpus_c, accum=1)
+    def test_pooled_step_is_bitwise_repeatable(self, corpus_c):
+        # The pooled buffers start zeroed, so two identical steps
+        # cannot differ.
+        a = self._grads(corpus_c)
+        b = self._grads(corpus_c)
         for g1, g2 in zip(a, b):
             np.testing.assert_array_equal(g1, g2)
-
-    def test_full_fit_equivalent_under_accumulation(self, corpus_c):
-        pairs = sample_pairs(corpus_c, 12, np.random.default_rng(5))
-
-        def run(accum):
-            engine = Engine(_model(), TrainConfig(epochs=2, batch_size=6,
-                                                  seed=1, accum_steps=accum))
-            engine.fit(pairs)
-            return engine.model.state_dict()
-
-        ref, acc = run(1), run(2)
-        for (name_a, a), (name_b, b) in zip(ref.items(), acc.items()):
-            assert name_a == name_b
-            np.testing.assert_allclose(a, b, atol=1e-7, rtol=1e-6)
 
 
 class TestResumePerBackend:

@@ -6,10 +6,7 @@ import pytest
 
 from repro.core import build_model
 from repro.data import sample_pairs
-from repro.engine import (
-    Callback, Checkpointing, EarlyStopping, Engine, GradNormLogging,
-    TrainConfig, standard_callbacks,
-)
+from repro.engine import Callback, Checkpointing, Engine, TrainConfig
 
 
 class Recorder(Callback):
@@ -42,7 +39,7 @@ def small_pairs(corpus_c):
     return sample_pairs(corpus_c, 12, np.random.default_rng(0))
 
 
-def _engine(config=None, callbacks=None):
+def _engine(config=None, callbacks=()):
     model = build_model(encoder_kind="gcn", embedding_dim=8, hidden_size=8,
                         seed=1)
     return Engine(model, config or TrainConfig(epochs=2, batch_size=6),
@@ -64,31 +61,42 @@ class TestCallbackProtocol:
         # epoch_start always precedes its batch_end events
         assert kinds.index("epoch_start") < kinds.index("batch_end")
 
-    def test_callback_can_stop_the_run(self, small_pairs):
-        class StopAfterOne(Callback):
-            def on_epoch_end(self, engine):
-                engine.state.stop_requested = True
+    def test_engine_records_each_grad_norm(self, small_pairs):
+        """The history holds every step's pre-clip norm, the value a
+        callback sees as ``last_grad_norm``, with or without callbacks."""
+        seen = []
 
-        engine = _engine(TrainConfig(epochs=10, batch_size=6))
-        engine.add_callback(StopAfterOne())
-        history = engine.fit(small_pairs)
-        assert len(history.losses) == 1
+        class NormProbe(Callback):
+            def on_batch_end(self, engine):
+                seen.append(engine.state.last_grad_norm)
 
-    def test_grad_norms_recorded_by_callback(self, small_pairs):
-        engine = _engine()
-        history = engine.fit(small_pairs)
+        history = _engine(callbacks=[NormProbe()]).fit(small_pairs)
         assert len(history.grad_norms) == 4      # 2 epochs x 2 steps
         assert all(np.isfinite(history.grad_norms))
-        # with an explicit empty callback list nothing records norms
-        silent = _engine(callbacks=[])
-        history = silent.fit(small_pairs)
-        assert history.grad_norms == []
+        assert history.grad_norms == seen
+        silent = _engine(callbacks=[]).fit(small_pairs)
+        assert silent.grad_norms == history.grad_norms
 
-    def test_standard_callbacks_follow_config(self):
-        plain = standard_callbacks(TrainConfig())
-        assert [type(c) for c in plain] == [GradNormLogging]
-        stopping = standard_callbacks(TrainConfig(early_stop_patience=3))
-        assert any(isinstance(c, EarlyStopping) for c in stopping)
+    def test_callbacks_installed_as_given(self, small_pairs):
+        """No callback is added behind the caller's back, and hooks fire
+        in the order the callbacks were given."""
+        model = build_model(encoder_kind="gcn", embedding_dim=8,
+                            hidden_size=8, seed=1)
+        assert Engine(model).callbacks == []
+        order = []
+
+        class Tag(Callback):
+            def __init__(self, name):
+                self.name = name
+
+            def on_fit_start(self, engine):
+                order.append(self.name)
+
+        first, second = Tag("first"), Tag("second")
+        engine = _engine(callbacks=[first, second])
+        assert engine.callbacks == [first, second]
+        engine.fit(small_pairs)
+        assert order == ["first", "second"]
 
 
 class TestRefitSemantics:

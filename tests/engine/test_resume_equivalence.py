@@ -5,6 +5,8 @@ This forces optimizer moments and the shuffle RNG stream to be
 first-class checkpoint state, for every encoder kind.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from repro.core import ENCODER_KINDS, build_model
 from repro.data import sample_pairs
 from repro.engine import Callback, Checkpointing, Engine, TrainConfig
 from repro.nn.tensor import no_grad
+from repro.obs import MetricsCallback
 from repro.serve import load_checkpoint
+
+from ..helpers import pre_removal_checkpoint
 
 
 class KillAfter(Callback):
@@ -164,34 +169,6 @@ def test_extra_callback_state_restored_through_train_pairs_model(
     assert fresh.epochs_seen == 4          # 2 restored + 2 resumed
 
 
-def test_early_stopping_state_survives_resume(corpus_c, tmp_path):
-    """Best-so-far and remaining patience ride inside the checkpoint."""
-    pairs = sample_pairs(corpus_c, 12, np.random.default_rng(7))
-    val = sample_pairs(corpus_c, 8, np.random.default_rng(8))
-    config = TrainConfig(epochs=3, batch_size=6, early_stop_patience=2)
-    engine = Engine(_make_model("gcn"), config)
-    engine.fit(pairs, val_pairs=val)
-    stopper = next(c for c in engine.callbacks
-                   if c.state_key == "early_stopping")
-    ckpt = engine.save_checkpoint(tmp_path / "es.npz")
-    resumed = Engine.from_checkpoint(ckpt)
-    restored = next(c for c in resumed.callbacks
-                    if c.state_key == "early_stopping")
-    assert restored.best == stopper.best
-    assert restored.left == stopper.left
-
-    # A larger patience override at resume keeps the strike history but
-    # gets its extra headroom (the override wins for the budget knob).
-    wider = Engine.from_checkpoint(
-        ckpt, config=TrainConfig(epochs=10, batch_size=6,
-                                 early_stop_patience=10))
-    widened = next(c for c in wider.callbacks
-                   if c.state_key == "early_stopping")
-    strikes = stopper.patience - stopper.left
-    assert widened.patience == 10
-    assert widened.left == 10 - strikes
-
-
 def test_ndarray_callback_state_is_checkpointable(corpus_c, tmp_path):
     """A callback state_dict holding ndarrays (a metric buffer, say)
     must serialize instead of crashing the checkpoint write."""
@@ -216,5 +193,94 @@ def test_ndarray_callback_state_is_checkpointable(corpus_c, tmp_path):
     ckpt = engine.save_checkpoint(tmp_path / "buf.npz")
 
     fresh = BufferCallback()
-    Engine.from_checkpoint(ckpt, extra_callbacks=[fresh])
+    Engine.from_checkpoint(ckpt, callbacks=[fresh])
     np.testing.assert_array_equal(fresh.running, [1.5, 2.5, 3.5])
+
+
+class TestPreRemovalCheckpoint:
+    """A checkpoint whose header still stores the removed options (at
+    their off values), ``stopped_early`` and the metrics records resumes
+    to the uninterrupted run; one that had an option switched on is
+    refused, naming it."""
+
+    CONFIG = TrainConfig(epochs=4, batch_size=6, seed=9)
+
+    def _killed_at_two(self, corpus, tmp_path):
+        pairs = sample_pairs(corpus, 12, np.random.default_rng(3))
+        ckpt = tmp_path / "killed.npz"
+        killed = Engine(_make_model("gcn"), self.CONFIG)
+        killed.add_callback(MetricsCallback())
+        killed.add_callback(Checkpointing(ckpt, every=1))
+        killed.add_callback(KillAfter(2))
+        with pytest.raises(KillAfter.Killed):
+            killed.fit(pairs)
+        return pairs, ckpt
+
+    def test_resumes_bitwise(self, corpus_c, tmp_path):
+        pairs, ckpt = self._killed_at_two(corpus_c, tmp_path)
+        straight = Engine(_make_model("gcn"), self.CONFIG)
+        straight_history = straight.fit(pairs)
+
+        legacy = pre_removal_checkpoint(ckpt, tmp_path / "legacy.npz")
+        metrics = MetricsCallback()
+        resumed = Engine.from_checkpoint(legacy, callbacks=[metrics])
+        assert resumed.config == self.CONFIG
+        epochs = metrics.registry.get("repro_train_epochs_total")
+        assert sum(v for _, v in epochs.snapshot()["values"]) == 2
+        history = resumed.fit(pairs)
+
+        for (name_a, a), (name_b, b) in zip(
+                straight.model.state_dict().items(),
+                resumed.model.state_dict().items()):
+            assert name_a == name_b
+            assert np.array_equal(a, b), f"weight drift in {name_a}"
+        assert history.losses == straight_history.losses
+        assert history.grad_norms == straight_history.grad_norms
+
+    @pytest.mark.parametrize("option", [{"accum_steps": 2},
+                                        {"early_stop_patience": 3}])
+    def test_switched_on_option_is_refused(self, option, corpus_c,
+                                           tmp_path):
+        _, ckpt = self._killed_at_two(corpus_c, tmp_path)
+        legacy = pre_removal_checkpoint(ckpt, tmp_path / "legacy.npz",
+                                        **option)
+        [key] = option
+        with pytest.raises(ValueError, match=key):
+            Engine.from_checkpoint(legacy)
+
+
+class TestConfigPayload:
+    """``TrainConfig.from_payload`` rebuilds the config a training
+    checkpoint stores; a removed option is dropped only at its off
+    value."""
+
+    CONFIG = TrainConfig(epochs=7, batch_size=5, learning_rate=1e-3,
+                         grad_clip=2.0, seed=4, eval_batch_size=32)
+
+    def test_round_trips_asdict(self):
+        assert TrainConfig.from_payload(asdict(self.CONFIG)) == self.CONFIG
+
+    @pytest.mark.parametrize("key, off", [("accum_steps", 1),
+                                          ("early_stop_patience", 0),
+                                          ("verbose", False)])
+    def test_removed_option_at_off_value_is_dropped(self, key, off):
+        payload = {**asdict(self.CONFIG), key: off}
+        assert TrainConfig.from_payload(payload) == self.CONFIG
+
+    @pytest.mark.parametrize("key, on", [("accum_steps", 2),
+                                         ("early_stop_patience", 3),
+                                         ("verbose", True)])
+    def test_removed_option_switched_on_is_refused(self, key, on):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_payload({**asdict(self.CONFIG), key: on})
+
+    def test_payload_is_left_untouched(self):
+        payload = {**asdict(self.CONFIG), "accum_steps": 1}
+        before = dict(payload)
+        TrainConfig.from_payload(payload)
+        assert payload == before
+
+    def test_unknown_key_is_refused(self):
+        with pytest.raises(TypeError):
+            TrainConfig.from_payload({**asdict(self.CONFIG),
+                                      "momentum": 0.9})

@@ -1,9 +1,13 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and
+checkpoints in the form older versions wrote."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from repro.nn.serialize import METADATA_KEY
 from repro.nn.tensor import Tensor
 
 
@@ -108,3 +112,30 @@ def check_gradients_fp64_ref(build_loss, arrays: list[np.ndarray],
         for val, grad in zip(vals, grads):
             expected = numeric_grad(scalar, val)
             np.testing.assert_allclose(grad, expected, atol=atol, rtol=rtol)
+
+
+def pre_removal_checkpoint(path, out, **config):
+    """Copy training checkpoint ``path`` to ``out`` (an ``.npz`` path)
+    with the header written before gradient accumulation, early
+    stopping, the progress line and ``MetricsCallback.records`` were
+    removed: ``training.config`` gains ``accum_steps``,
+    ``early_stop_patience`` and ``verbose`` at their off values
+    (``config`` overrides them), the history gains ``stopped_early`` and
+    the ``metrics`` callback state gains one ``records`` entry per
+    epoch."""
+    data = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(data[METADATA_KEY].tobytes().decode("utf-8"))
+    training = meta["training"]
+    training["config"].update({"accum_steps": 1, "early_stop_patience": 0,
+                               "verbose": False, **config})
+    history = training["history"]
+    history["stopped_early"] = False
+    metrics = training["callbacks"].setdefault("metrics", {"registry": {}})
+    metrics["records"] = [
+        {"epoch": epoch, "loss": loss, "grad_norm": history["grad_norms"][-1],
+         "pool": {}}
+        for epoch, loss in enumerate(history["losses"], start=1)]
+    data[METADATA_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez(out, **data)
+    return out

@@ -6,7 +6,7 @@ import pytest
 
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, OPTIMIZERS, optimizer_from_state
-from repro.nn.serialize import load_state, save_state
+from repro.nn.serialize import load_state_with_meta, save_state
 
 
 class TinyModel(Module):
@@ -60,8 +60,8 @@ def test_adam_state_round_trips_through_npz(tmp_path):
     state = adam.state_dict()
     arrays = {f"m.{i}": a for i, a in enumerate(state["m"])}
     arrays.update({f"v.{i}": a for i, a in enumerate(state["v"])})
-    save_state(arrays, tmp_path / "opt.npz")
-    loaded = load_state(tmp_path / "opt.npz")
+    save_state(arrays, tmp_path / "opt.npz", meta={})
+    loaded, _ = load_state_with_meta(tmp_path / "opt.npz")
     for i, original in enumerate(state["m"]):
         assert np.array_equal(loaded[f"m.{i}"], original)
     for i, original in enumerate(state["v"]):

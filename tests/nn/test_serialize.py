@@ -3,44 +3,51 @@
 import numpy as np
 import pytest
 
-from repro.nn.serialize import (
-    METADATA_KEY, load_state, load_state_with_meta, save_state,
-)
+from repro.nn.serialize import METADATA_KEY, load_state_with_meta, save_state
 
 
 def _state():
     return {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(2)}
 
 
+def _save(path):
+    return save_state(_state(), path, meta={"v": 1})
+
+
+def _load(path):
+    state, _ = load_state_with_meta(path)
+    return state
+
+
 class TestSuffixNormalization:
     def test_suffixless_path_round_trips(self, tmp_path):
         """Regression: np.savez appends .npz, load must follow suit."""
         path = tmp_path / "model"  # no suffix
-        save_state(_state(), path)
-        loaded = load_state(path)
+        _save(path)
+        loaded = _load(path)
         np.testing.assert_array_equal(loaded["w"], _state()["w"])
 
     def test_explicit_npz_path_round_trips(self, tmp_path):
         path = tmp_path / "model.npz"
-        save_state(_state(), path)
+        _save(path)
         assert path.exists()
-        np.testing.assert_array_equal(load_state(path)["b"], np.zeros(2))
+        np.testing.assert_array_equal(_load(path)["b"], np.zeros(2))
 
     def test_mixed_suffix_spellings_agree(self, tmp_path):
         """Saving without the suffix and loading with it (and vice versa)
         must address the same file."""
-        save_state(_state(), tmp_path / "a")
+        _save(tmp_path / "a")
         np.testing.assert_array_equal(
-            load_state(tmp_path / "a.npz")["w"], _state()["w"])
-        save_state(_state(), tmp_path / "b.npz")
+            _load(tmp_path / "a.npz")["w"], _state()["w"])
+        _save(tmp_path / "b.npz")
         np.testing.assert_array_equal(
-            load_state(tmp_path / "b")["w"], _state()["w"])
+            _load(tmp_path / "b")["w"], _state()["w"])
 
     def test_dotted_stem_is_not_mangled(self, tmp_path):
         path = tmp_path / "model.v1"
-        save_state(_state(), path)
+        _save(path)
         assert (tmp_path / "model.v1.npz").exists()
-        assert load_state(path)["w"].shape == (2, 3)
+        assert _load(path)["w"].shape == (2, 3)
 
 
 class TestMetadataHeader:
@@ -51,18 +58,20 @@ class TestMetadataHeader:
         assert loaded_meta == meta
         assert set(state) == {"w", "b"}
 
-    def test_plain_load_drops_meta(self, tmp_path):
-        save_state(_state(), tmp_path / "m.npz", meta={"v": 1})
-        assert set(load_state(tmp_path / "m.npz")) == {"w", "b"}
-
     def test_archive_without_meta_reports_none(self, tmp_path):
-        save_state(_state(), tmp_path / "m.npz")
+        np.savez(tmp_path / "m.npz", **_state())     # a foreign archive
         _, meta = load_state_with_meta(tmp_path / "m.npz")
         assert meta is None
 
+    def test_meta_is_required(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_state(_state(), tmp_path / "m.npz")
+        assert not (tmp_path / "m.npz").exists()
+
     def test_reserved_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):
-            save_state({METADATA_KEY: np.zeros(1)}, tmp_path / "m.npz")
+            save_state({METADATA_KEY: np.zeros(1)}, tmp_path / "m.npz",
+                       meta={})
 
     def test_unicode_meta(self, tmp_path):
         meta = {"note": "λ=120, ±0.5 — ünïcode"}

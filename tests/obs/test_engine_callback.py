@@ -1,6 +1,6 @@
 """`MetricsCallback` acceptance: attaching telemetry must not perturb
-training (bitwise), and its registry + records must ride checkpoints
-through kill-and-resume via the `state_key` mechanism."""
+training (bitwise), and its registry must ride checkpoints through
+kill-and-resume via the `state_key` mechanism."""
 
 import numpy as np
 import pytest
@@ -34,6 +34,11 @@ def _counter_total(registry, name):
     return sum(v for _, v in family.snapshot()["values"])
 
 
+def _gauge(registry, name):
+    [(_, value)] = registry.get(name).snapshot()["values"]
+    return value
+
+
 class TestReadOnly:
     def test_training_with_callback_is_bitwise_identical(self, corpus_c):
         bare, bare_history = _fit(corpus_c)
@@ -60,10 +65,11 @@ class TestTelemetry:
         hist = reg.get("repro_train_step_latency_seconds")
         [(_, dumped)] = hist.snapshot()["values"]
         assert dumped["count"] == engine.state.step
-        # per-epoch records mirror the history exactly
-        assert [r["loss"] for r in callback.records] == history.losses
-        assert [r["epoch"] for r in callback.records] == [1, 2, 3]
-        assert all("pool" in r for r in callback.records)
+        # the gauges hold the latest value of each history series
+        assert _gauge(reg, "repro_train_epoch_loss") == history.losses[-1]
+        assert (_gauge(reg, "repro_train_grad_norm")
+                == history.grad_norms[-1])
+        assert reg.get("repro_train_pool").snapshot()["values"]
 
     def test_series_carry_backend_and_dtype_labels(self, corpus_c):
         from repro.nn import backend as nn_backend
@@ -97,14 +103,26 @@ class KillAfter(Callback):
 
 
 class TestResume:
-    def test_state_dict_round_trips_registry_and_records(self, corpus_c):
+    def test_state_dict_round_trips_registry(self, corpus_c):
         callback = MetricsCallback()
         _fit(corpus_c, callbacks=[callback], epochs=2)
         state = callback.state_dict()
         fresh = MetricsCallback()
         fresh.load_state_dict(state)
         assert fresh.registry.snapshot() == callback.registry.snapshot()
-        assert fresh.records == callback.records
+
+    def test_stored_records_are_ignored(self, corpus_c):
+        """A checkpoint written while the callback still kept per-epoch
+        records stores them beside the registry; only the registry
+        loads."""
+        callback = MetricsCallback()
+        _fit(corpus_c, callbacks=[callback], epochs=2)
+        state = {**callback.state_dict(),
+                 "records": [{"epoch": 1, "loss": 0.7, "grad_norm": 1.2,
+                              "pool": {}}]}
+        fresh = MetricsCallback()
+        fresh.load_state_dict(state)
+        assert fresh.state_dict() == callback.state_dict()
 
     def test_metric_history_survives_kill_and_resume(self, corpus_c,
                                                      tmp_path):
@@ -119,8 +137,8 @@ class TestResume:
         ckpt = tmp_path / "metered.npz"
         killed_cb = MetricsCallback()
         killed = Engine(_make_model(), config)
-        # metrics first: hooks run in add order, so the epoch's record
-        # must be appended before Checkpointing snapshots callback state
+        # metrics first: hooks run in add order, so the epoch's update
+        # must land before Checkpointing snapshots callback state
         killed.add_callback(killed_cb)
         killed.add_callback(Checkpointing(ckpt, every=1))
         killed.add_callback(KillAfter(2))
@@ -128,21 +146,18 @@ class TestResume:
             killed.fit(pairs)
 
         resumed_cb = MetricsCallback()
-        resumed = Engine.from_checkpoint(ckpt,
-                                         extra_callbacks=[resumed_cb])
+        resumed = Engine.from_checkpoint(ckpt, callbacks=[resumed_cb])
         # epoch-2 state came back before any new training
-        assert [r["epoch"] for r in resumed_cb.records] == [1, 2]
         assert _counter_total(resumed_cb.registry,
                               "repro_train_epochs_total") == 2
         resumed.fit(pairs)
 
         # the series continued instead of restarting: counter totals and
-        # per-epoch records match the uninterrupted run exactly
+        # the last epoch's loss match the uninterrupted run exactly
         assert _counter_total(resumed_cb.registry,
                               "repro_train_epochs_total") == 4
-        assert [r["epoch"] for r in resumed_cb.records] == [1, 2, 3, 4]
-        assert ([r["loss"] for r in resumed_cb.records]
-                == [r["loss"] for r in straight_cb.records])
+        assert (_gauge(resumed_cb.registry, "repro_train_epoch_loss")
+                == _gauge(straight_cb.registry, "repro_train_epoch_loss"))
         assert (_counter_total(resumed_cb.registry,
                                "repro_train_steps_total")
                 == _counter_total(straight_cb.registry,

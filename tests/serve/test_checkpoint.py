@@ -92,11 +92,10 @@ def test_vocab_travels_with_checkpoint(tmp_path):
 
 
 def test_rejects_plain_state_archive(tmp_path):
-    from repro.nn.serialize import save_state
     from repro.serve import NotACheckpointError
 
     model = build_model(embedding_dim=8, hidden_size=8)
-    save_state(model.state_dict(), tmp_path / "plain.npz")
+    np.savez(tmp_path / "plain.npz", **model.state_dict())
     with pytest.raises(NotACheckpointError,
                        match="not a repro-model-checkpoint"):
         load_checkpoint(tmp_path / "plain.npz")

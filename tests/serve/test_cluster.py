@@ -30,7 +30,7 @@ from repro.core import build_model
 from repro.serve import checkpoint_signature, save_checkpoint
 from repro.serve.cluster import ClusterClient, ClusterServer, probe
 from repro.serve.faults import corrupt_checkpoint
-from repro.serve.supervisor import SupervisorConfig
+from repro.serve.supervisor import Supervisor, SupervisorConfig
 
 from ..helpers import backend_tolerance
 
@@ -371,6 +371,40 @@ class TestCrashRedispatch:
         assert stats["counters"]["worker_deaths"] == 1
         assert stats["counters"]["parked"] >= 1
         assert stats["counters"]["worker_restarts"] == 1
+        assert stats["counters"]["retries_exhausted"] == 0
+
+    def test_write_to_dead_worker_fails_over(self, checkpoint, model,
+                                             monkeypatch):
+        """A worker can be dead before its reader thread has handled the
+        pipe closing. A request written to it in that gap goes to the
+        other worker after the first failed write instead of spending
+        every retry on the same closed pipe."""
+        noticed, release = threading.Event(), threading.Event()
+        on_exit = Supervisor._on_worker_exit
+
+        def held_exit(self, handle):
+            noticed.set()
+            release.wait(timeout=30)
+            on_exit(self, handle)
+
+        monkeypatch.setattr(Supervisor, "_on_worker_exit", held_exit)
+        with ClusterServer(checkpoint, workers=2,
+                           config=fast_config()).start() as server:
+            source = next(s for s in variants(16) if server.router.shard_for(
+                {"op": "embed", "source": s}) == 0)
+            try:
+                server.supervisor.routing[0].kill()
+                assert noticed.wait(timeout=30)
+                with ClusterClient(server.address) as client:
+                    reply = client.request({"op": "embed",
+                                            "source": source}, timeout=30)
+            finally:
+                release.set()
+            stats = server.supervisor.stats()
+        assert reply["ok"] is True, reply
+        np.testing.assert_allclose(reply["embedding"], model.embed(source),
+                                   atol=backend_tolerance(1e-8))
+        assert stats["counters"]["redispatched"] == 1
         assert stats["counters"]["retries_exhausted"] == 0
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import main
 
+from .helpers import pre_removal_checkpoint
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -196,6 +198,42 @@ class TestResumeTraining:
                                      resumed.named_parameters()):
             assert np.array_equal(a.data, b.data), name
         assert read_checkpoint_meta(resumable)["training"]["epoch"] == 4
+
+    def test_pre_removal_checkpoint_resumes(self, workspace, tmp_path):
+        """A checkpoint whose header still stores the removed training
+        options at their off values resumes to the straight run; one
+        with an option switched on is refused, naming it."""
+        from repro.serve import load_checkpoint, read_checkpoint_meta
+
+        _, db_path = workspace
+        straight = tmp_path / "straight.npz"
+        assert main(["train", "--db", str(db_path), *self.ARGS,
+                     "--epochs", "4", "--out", str(straight)]) == 0
+        killed = tmp_path / "killed.npz"
+        assert main(["train", "--db", str(db_path), *self.ARGS,
+                     "--epochs", "2", "--out", str(killed)]) == 0
+
+        legacy = pre_removal_checkpoint(killed, tmp_path / "legacy.npz")
+        assert main(["train", "--db", str(db_path), "--resume", str(legacy),
+                     "--epochs", "4", "--out", str(legacy)]) == 0
+        reference = load_checkpoint(straight)
+        resumed = load_checkpoint(legacy)
+        for (name, a), (_, b) in zip(reference.named_parameters(),
+                                     resumed.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        histories = [read_checkpoint_meta(path)["training"]["history"]
+                     for path in (straight, legacy)]
+        assert histories[0]["losses"] == histories[1]["losses"]
+        assert histories[0]["grad_norms"] == histories[1]["grad_norms"]
+
+        for option in ({"accum_steps": 2}, {"early_stop_patience": 3}):
+            refused = pre_removal_checkpoint(killed,
+                                             tmp_path / "refused.npz",
+                                             **option)
+            [key] = option
+            with pytest.raises(ValueError, match=key):
+                main(["train", "--db", str(db_path), "--resume",
+                      str(refused), "--out", str(tmp_path / "out.npz")])
 
     def test_resume_rejects_conflicting_flags(self, workspace, tmp_path):
         _, db_path = workspace

@@ -10,7 +10,7 @@ import pytest
 from repro.corpus import Collector, SubmissionDatabase, family_for_tag
 from repro.experiments import (
     BENCH, PAPER, QUICK, ScaleProfile, load_table1_corpus, run_fig4,
-    run_fig6, run_table1, train_problem_model,
+    run_fig6, run_hpo, run_table1, train_problem_model,
 )
 from repro.judge import MachineProfile
 
@@ -93,3 +93,17 @@ class TestDrivers:
         assert "C" in result.curves
         thresholds = [t for t, _, _ in result.curves["C"]]
         assert thresholds == sorted(thresholds)
+
+    def test_hpo_driver_smoke(self, mini_db):
+        profile = QUICK.smaller(epochs=2, train_pairs=20, eval_pairs=20)
+        result = run_hpo(mini_db, profile, tag="C", n_trials=2)
+        assert result.trials == 2
+        assert set(result.best_gcn_params) == {"layers", "hidden"}
+        assert 0.0 <= result.best_gcn_accuracy <= 1.0
+        assert 0.0 <= result.treelstm_accuracy <= 1.0
+
+    def test_hpo_driver_is_seeded(self, mini_db):
+        profile = QUICK.smaller(epochs=2, train_pairs=20, eval_pairs=20)
+        first = run_hpo(mini_db, profile, tag="C", n_trials=2, seed=3)
+        again = run_hpo(mini_db, profile, tag="C", n_trials=2, seed=3)
+        assert again == first
