@@ -8,8 +8,10 @@ proposal) or the GCN (the baseline it is compared against in Fig. 3).
 The tree-LSTM encoder never looks the embedding up per node: it hands
 its stack the embedding table and the range-checked node ids, and the
 first layer projects the table (see "Table path" in
-:mod:`repro.nn.treelstm`). The GCN and chain-LSTM encoders look up
-one embedding row per node.
+:mod:`repro.nn.treelstm`). With the ids, the stack also runs its
+upward cell once per distinct type-labelled subtree ("Shared
+subtrees" there). The GCN and chain-LSTM encoders look up one
+embedding row per node.
 """
 
 from __future__ import annotations

@@ -172,7 +172,12 @@ class Interpreter:
                 _charge(self, program.cost.call_overhead)
                 raise RuntimeFault(
                     f"main() expects {len(main.params)} args, got 0")
-            main.enter(self, ())
+            try:
+                main.enter(self, ())
+            except _BreakSignal:
+                raise RuntimeFault("break outside a loop") from None
+            except _ContinueSignal:
+                raise RuntimeFault("continue outside a loop") from None
         return ExecutionResult(stdout="".join(self.out), cycles=self.cycles,
                                peak_elements=self.peak_elements)
 
@@ -204,6 +209,17 @@ def _next_token(st: Interpreter) -> str:
     token = st.tokens[st.pos]
     st.pos += 1
     return token
+
+
+def _parse_token(st: Interpreter, kind: type):
+    """The next token as an ``int`` or ``float``; a token that is not
+    one is a fault (C++ would set the stream's failbit)."""
+    token = _next_token(st)
+    try:
+        return kind(token)
+    except ValueError:
+        raise RuntimeFault(
+            f"cin expected {kind.__name__}, got {token!r}") from None
 
 
 def _write(st: Interpreter, value) -> None:
@@ -275,6 +291,10 @@ def _bitwise(op: str, left: int, right: int) -> int:
         return left | right
     if op == "^":
         return left ^ right
+    if not 0 <= right < 64:
+        # undefined in C++; Python raises ValueError below 0 and runs
+        # out of memory on a huge count
+        raise RuntimeFault(f"shift count {right} outside [0, 64)")
     if op == "<<":
         return left << right
     return left >> right
@@ -1348,13 +1368,13 @@ class _Compiler:
             type_spec = declared(st, fr)
             kind = type_spec.base if type_spec is not None else None
             if kind in _FLOAT_BASES:
-                value: object = float(_next_token(st))
+                value: object = _parse_token(st, float)
             elif kind == "char":
                 value = _next_token(st)[0]
             elif kind == "string":
                 value = _next_token(st)
             else:
-                value = int(_next_token(st))
+                value = _parse_token(st, int)
             rt.store(st, loc, value)
         return read_into
 

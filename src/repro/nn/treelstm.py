@@ -50,9 +50,28 @@ both to its first layer only; that layer's level loop reads each
 node's projected row with ``take_rows(ids[nodes])``. No node-level
 N×λ input exists, nor its N×4h projections with their two backward
 GEMMs, nor the embedding's own row scatter. Later layers read the
-previous layer's hidden states, one row per node. Without ``ids`` the
-input has one row per node and the same code runs with ``ids`` the
-identity.
+previous layer's hidden states. Without ``ids`` the input has one row
+per node and the same code runs with ``ids`` the identity.
+
+Shared subtrees
+---------------
+The encoder sees node types only, so a node's upward state depends
+only on its type-labelled subtree, and ASTs repeat subtrees: leaves of
+a few dozen kinds, the same statements in many programs, identical
+trees across a batch. Given ``ids``, :class:`TreeLSTMStack` hash-conses
+the forest once per forward (:func:`share_subtrees`): a node's class is
+its type plus its children's classes in edge order, and the upward
+cell runs once per class instead of once per node. The gather reads a
+class row once per parent that uses it, and the backward's row scatter
+sums those duplicates, so values and gradients equal the per-node pass
+up to summation order. A uni-directional stack runs every layer on
+classes (each layer's input is the previous layer's class rows), and
+the readout takes only the root rows. Downward passes are never
+shared, since a node's downward state depends on its ancestors: a
+downward layer reads the class rows through each node's class, and
+the layers after it run every node. Ordered children keep the
+child-sum order; sorting them would merge more classes but reorder
+the sums.
 """
 
 from __future__ import annotations
@@ -65,7 +84,8 @@ from .module import Module, Parameter
 from .tensor import Tensor
 
 __all__ = ["TreeSchedule", "ForestSchedule", "schedule_for",
-           "ChildSumTreeLSTM", "TreeLSTMStack", "DIRECTIONS"]
+           "share_subtrees", "ChildSumTreeLSTM", "TreeLSTMStack",
+           "DIRECTIONS"]
 
 DIRECTIONS = ("uni", "bi", "alternating")
 
@@ -244,7 +264,6 @@ class TreeSchedule:
         self.up_levels = []
         for lvl in range(int(height.max()) + 1):
             nodes = np.flatnonzero(height == lvl)
-            pos_of = {int(node): i for i, node in enumerate(nodes)}
             edge_child: list[int] = []
             edge_parent_pos: list[int] = []
             for i, node in enumerate(nodes):
@@ -378,6 +397,80 @@ class ForestSchedule:
                                      _concat_or_empty(parent_parts)))
 
 
+def share_subtrees(up_levels: list, ids: np.ndarray):
+    """Hash-cons upward levels over node-type subtrees.
+
+    Two nodes fall in one *class* when they have the same ``ids`` entry
+    and their children, in edge order, fall in the same classes, i.e.
+    when their type-labelled subtrees are equal. Equal subtrees have
+    equal heights, so each class lives on one level. Class ids are
+    assigned level by level (leaves by id, then in order of first
+    occurrence), so a class id is its row in the level-major output of
+    the pass.
+
+    Returns ``(levels, reps, row_of)``: ``levels`` in the
+    ``up_levels`` form over class ids (the edges of each class's first
+    node; a class read by several parents appears in several edges),
+    ``reps[k]`` a node of class k, and ``row_of[j]`` node j's class.
+    The schedule is never annotated: classes depend on ``ids``, and
+    :func:`schedule_for` shares one schedule between trees of the same
+    shape.
+    """
+    row_of = np.empty(ids.shape[0], dtype=np.int64)
+    # Level 0 holds exactly the leaves (about half the nodes), whose
+    # class is their id alone: one np.unique instead of the dict loop.
+    leaves = up_levels[0][0]
+    _, first_leaf, leaf_class = np.unique(ids[leaves], return_index=True,
+                                          return_inverse=True)
+    row_of[leaves] = leaf_class
+    reps = leaves[first_leaf].tolist()
+    none = np.empty(0, dtype=np.int64)
+    levels = [(np.arange(len(reps), dtype=np.int64), none, none)]
+    # Internal keys hold at least one child, so they never equal a
+    # leaf's; the dict numbers the internal classes after the leaves.
+    classes: dict[tuple, int] = {}
+    for nodes, edge_child, edge_parent_pos in up_levels[1:]:
+        first = len(reps)
+        kids = row_of[edge_child].tolist()
+        ends = np.cumsum(np.bincount(edge_parent_pos,
+                                     minlength=nodes.shape[0])).tolist()
+        level_rows: list[int] = []
+        new_child: list[int] = []
+        new_pos: list[int] = []
+        start = 0
+        for node, kind, end in zip(nodes.tolist(), ids[nodes].tolist(), ends):
+            key = (kind, *kids[start:end])
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = len(reps)
+                reps.append(node)
+                new_child.extend(kids[start:end])
+                new_pos.extend([cls - first] * (end - start))
+            level_rows.append(cls)
+            start = end
+        row_of[nodes] = level_rows
+        levels.append((np.arange(first, len(reps), dtype=np.int64),
+                       np.asarray(new_child, dtype=np.int64),
+                       np.asarray(new_pos, dtype=np.int64)))
+    return levels, np.asarray(reps, dtype=np.int64), row_of
+
+
+def _input_rows(x: Tensor, ids: np.ndarray | None, n: int) -> np.ndarray:
+    """Row of ``x`` holding each node's input: ``ids``, or the identity
+    when ``x`` has one row per node."""
+    if ids is None:
+        if x.shape[0] != n:
+            raise ValueError(f"feature rows ({x.shape[0]}) != schedule nodes ({n})")
+        return np.arange(n)
+    if ids.shape != (n,):
+        raise ValueError(f"node ids {ids.shape} != schedule nodes ({n},)")
+    return ids
+
+
+def _cat_rows(levels: list[Tensor]) -> Tensor:
+    return levels[0] if len(levels) == 1 else Tensor.concat(levels, axis=0)
+
+
 class ChildSumTreeLSTM(Module):
     """One child-sum tree-LSTM pass (upward or downward).
 
@@ -422,24 +515,32 @@ class ChildSumTreeLSTM(Module):
         ``direction`` is ``"up"`` (leaves -> root) or ``"down"``
         (root -> leaves). ``x`` holds one input row per node or, given
         ``ids``, a table whose row ``ids[j]`` is node j's input (the
-        table path of the module docstring). The input projections
-        run once per row of ``x``; the level loop reads each node's
-        projected row through ``ids``.
+        table path of the module docstring). Every node is computed;
+        :class:`TreeLSTMStack` computes each shared subtree once.
         """
         if direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-        n = schedule.num_nodes
-        if ids is None:
-            if x.shape[0] != n:
-                raise ValueError(f"feature rows ({x.shape[0]}) != schedule nodes ({n})")
-            ids = np.arange(n)
-        elif ids.shape != (n,):
-            raise ValueError(f"node ids {ids.shape} != schedule nodes ({n},)")
+        ids = _input_rows(x, ids, schedule.num_nodes)
+        levels = schedule.up_levels if direction == "up" else schedule.down_levels
+        h, c, row_of = self.run(x, levels, ids, direction)
+        return h.take_rows(row_of), c.take_rows(row_of)
+
+    def run(self, x: Tensor, levels: list, ids: np.ndarray,
+            direction: str = "up") -> tuple[Tensor, Tensor, np.ndarray]:
+        """One pass over ``levels``; returns level-major ``(h, c, row_of)``.
+
+        ``levels`` are ``up_levels`` or ``down_levels`` over an index
+        space of ``len(ids)`` items (the nodes, or the classes of
+        :func:`share_subtrees`), ``ids[k]`` is the row of ``x`` holding
+        item k's input, and ``row_of[k]`` is item k's row in ``h`` and
+        ``c``. The input projections run once per row of ``x``; the
+        level loop reads each item's projected row through ``ids``.
+        """
         x_iou = Tensor.addmm(self.b_iou, x, self.w_iou)  # (rows, 3h)
         x_f = Tensor.addmm(self.b_f, x, self.w_f)        # (rows, h)
         if direction == "up":
-            return self._run_up(x_iou, x_f, ids, schedule)
-        return self._run_down(x_iou, x_f, ids, schedule)
+            return self._run_up(x_iou, x_f, ids, levels)
+        return self._run_down(x_iou, x_f, ids, levels)
 
     # ------------------------------------------------------------------
     def _level_step(self, x_iou_level: Tensor, h_tilde: Tensor, fc: Tensor):
@@ -451,7 +552,7 @@ class ChildSumTreeLSTM(Module):
         return _lstm_cell(iou, fc)
 
     def _run_up(self, x_iou: Tensor, x_f: Tensor, ids: np.ndarray,
-                schedule: TreeSchedule | ForestSchedule):
+                levels: list):
         # Levels are processed as whole batches. Per-level outputs are
         # kept in a list and concatenated ONCE after the loop (the old
         # per-level Tensor.concat re-copied every earlier level:
@@ -460,7 +561,7 @@ class ChildSumTreeLSTM(Module):
         # gather_rows per level. A level's input projections are the
         # rows ids[nodes] of x_iou / x_f.
         hs = self.hidden_size
-        n = schedule.num_nodes
+        n = ids.shape[0]
         row_of = np.full(n, -1, dtype=np.int64)      # packed output row
         level_of = np.full(n, -1, dtype=np.int64)    # producing level
         offset_of = np.full(n, -1, dtype=np.int64)   # row within level
@@ -468,7 +569,7 @@ class ChildSumTreeLSTM(Module):
         c_levels: list[Tensor] = []
         rows = 0
 
-        for li, (nodes, edge_child, edge_parent_pos) in enumerate(schedule.up_levels):
+        for li, (nodes, edge_child, edge_parent_pos) in enumerate(levels):
             m = nodes.shape[0]
             rows_in = ids[nodes]
             if edge_child.size:
@@ -496,26 +597,24 @@ class ChildSumTreeLSTM(Module):
             row_of[nodes] = np.arange(rows, rows + m)
             rows += m
 
-        h_all = h_levels[0] if len(h_levels) == 1 else Tensor.concat(h_levels, axis=0)
-        c_all = c_levels[0] if len(c_levels) == 1 else Tensor.concat(c_levels, axis=0)
-        return h_all.take_rows(row_of), c_all.take_rows(row_of)
+        return _cat_rows(h_levels), _cat_rows(c_levels), row_of
 
     # ------------------------------------------------------------------
     def _run_down(self, x_iou: Tensor, x_f: Tensor, ids: np.ndarray,
-                  schedule: TreeSchedule | ForestSchedule):
+                  levels: list):
         # Same list-accumulate/concat-once scheme as _run_up. The down
         # pass is simpler: every non-root node's single predecessor (its
         # parent) was produced exactly one level earlier, so the child
         # fetch is a plain take_rows from the previous level.
         hs = self.hidden_size
-        n = schedule.num_nodes
+        n = ids.shape[0]
         row_of = np.full(n, -1, dtype=np.int64)
         offset_of = np.full(n, -1, dtype=np.int64)
         h_levels: list[Tensor] = []
         c_levels: list[Tensor] = []
         rows = 0
 
-        for li, (nodes, parents) in enumerate(schedule.down_levels):
+        for li, (nodes, parents) in enumerate(levels):
             m = nodes.shape[0]
             rows_in = ids[nodes]
             if li > 0:
@@ -538,9 +637,7 @@ class ChildSumTreeLSTM(Module):
             row_of[nodes] = np.arange(rows, rows + m)
             rows += m
 
-        h_all = h_levels[0] if len(h_levels) == 1 else Tensor.concat(h_levels, axis=0)
-        c_all = c_levels[0] if len(c_levels) == 1 else Tensor.concat(c_levels, axis=0)
-        return h_all.take_rows(row_of), c_all.take_rows(row_of)
+        return _cat_rows(h_levels), _cat_rows(c_levels), row_of
 
 
 class TreeLSTMStack(Module):
@@ -587,6 +684,50 @@ class TreeLSTMStack(Module):
             return "up" if layer % 2 == 0 else "down"
         return "up"
 
+    def _layers(self, x: Tensor, schedule: TreeSchedule | ForestSchedule,
+                ids: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
+        """Run every layer; return the last one's states and each node's
+        row in them.
+
+        Node j's input to a layer is row ``rows[j]`` of ``h``. Given
+        ``ids``, the forest is hash-consed once and an upward layer runs
+        the shared levels while ``rows`` is constant on classes: the ids
+        themselves, then the class rows of each shared upward layer. A
+        downward or bi-directional layer makes every node's state its
+        own, so the layers after it run every node.
+        """
+        rows = _input_rows(x, ids, schedule.num_nodes)
+        shared = None if ids is None else share_subtrees(schedule.up_levels, ids)
+        h = x
+        for layer, name in enumerate(self._layer_names):
+            kind, idx = name.split(":")
+            if kind == "bi":
+                h_up, up_rows = self._upward(self._modules[f"up{idx}"], h, rows,
+                                             schedule, shared)
+                h_down, _, down_rows = self._modules[f"down{idx}"].run(
+                    h, schedule.down_levels, rows, "down")
+                h = Tensor.concat([h_up.take_rows(up_rows),
+                                   h_down.take_rows(down_rows)], axis=1)
+                rows, shared = np.arange(schedule.num_nodes), None
+            elif self._layer_direction(layer) == "down":
+                h, _, rows = self._modules[f"cell{idx}"].run(
+                    h, schedule.down_levels, rows, "down")
+                shared = None
+            else:
+                h, rows = self._upward(self._modules[f"cell{idx}"], h, rows,
+                                       schedule, shared)
+        return h, rows
+
+    @staticmethod
+    def _upward(cell: ChildSumTreeLSTM, h: Tensor, rows: np.ndarray,
+                schedule: TreeSchedule | ForestSchedule, shared):
+        if shared is None:
+            h, _, row_of = cell.run(h, schedule.up_levels, rows)
+            return h, row_of
+        levels, reps, row_of = shared
+        h, _, _ = cell.run(h, levels, rows[reps])
+        return h, row_of
+
     def forward(self, x: Tensor, schedule: TreeSchedule | ForestSchedule,
                 ids: np.ndarray | None = None) -> Tensor:
         """Return hidden states for all nodes, (n, hidden).
@@ -597,34 +738,21 @@ class TreeLSTMStack(Module):
         table (node j's input is row ``ids[j]``) and only the first
         layer reads it that way; later layers take the hidden states.
         """
-        h = x
-        for layer, name in enumerate(self._layer_names):
-            kind, idx = name.split(":")
-            if kind == "bi":
-                up = self._modules[f"up{idx}"]
-                down = self._modules[f"down{idx}"]
-                h_up, _ = up(h, schedule, direction="up", ids=ids)
-                h_down, _ = down(h, schedule, direction="down", ids=ids)
-                h = Tensor.concat([h_up, h_down], axis=1)
-            else:
-                cell = self._modules[f"cell{idx}"]
-                h, _ = cell(h, schedule, direction=self._layer_direction(layer),
-                            ids=ids)
-            ids = None
-        return h
+        h, rows = self._layers(x, schedule, ids)
+        return h.take_rows(rows)
 
     def encode(self, x: Tensor, schedule: TreeSchedule,
                ids: np.ndarray | None = None) -> Tensor:
         """Return the root representation (d,) used for prediction.
 
-        With an alternating stack ending on a downward layer the root's
-        state would only reflect the path above it, so the prediction
-        always reads the root from the *last upward* output; the shipped
-        configurations (1–3 layers) all end upward anyway.
+        The prediction reads the root's row of the *last* layer,
+        whichever way that layer runs. Alternating stacks with an even
+        layer count (e.g. 2 layers: up, down) end on a downward layer,
+        where the root, having no parent, gets one cell step over its
+        own state from the upward layer before.
         """
-        h = self.forward(x, schedule, ids)
-        root = int(schedule.roots[0])
-        return h[root]
+        h, rows = self._layers(x, schedule, ids)
+        return h[int(rows[schedule.roots[0]])]
 
     def root_states(self, x: Tensor, schedule: TreeSchedule | ForestSchedule,
                     ids: np.ndarray | None = None) -> Tensor:
@@ -633,7 +761,8 @@ class TreeLSTMStack(Module):
         For a :class:`ForestSchedule` this gathers every member tree's
         root in a single ``take_rows``; for a plain :class:`TreeSchedule`
         it returns one row per root (so a single tree yields (1, d)).
+        Only the last layer's root rows are read, not every node's.
         """
-        h = self.forward(x, schedule, ids)
+        h, rows = self._layers(x, schedule, ids)
         roots = getattr(schedule, "tree_roots", schedule.roots)
-        return h.take_rows(roots)
+        return h.take_rows(rows[roots])

@@ -50,6 +50,11 @@ class ExecutionResult:
         return 64 + (self.peak_elements * 8) // 1024
 
 
+def _check_shift(op: str, count: int) -> None:
+    if op in ("<<", ">>") and not 0 <= count < 64:
+        raise RuntimeFault(f"shift count {count} outside [0, 64)")
+
+
 class _BreakSignal(Exception):
     pass
 
@@ -112,6 +117,10 @@ class Interpreter:
             self._call_function(self.functions["main"], [])
         except _ReturnSignal:
             pass
+        except _BreakSignal:
+            raise RuntimeFault("break outside a loop") from None
+        except _ContinueSignal:
+            raise RuntimeFault("continue outside a loop") from None
         return ExecutionResult(stdout="".join(self._out), cycles=self.cycles,
                                peak_elements=self.peak_elements)
 
@@ -349,15 +358,23 @@ class Interpreter:
         declared = self._lvalue_type(target)
         token_kind = declared.base if declared is not None else None
         if token_kind in ("double", "float", "long double"):
-            value: object = float(self._next_token())
+            value: object = self._parse_token(float)
         elif token_kind == "char":
             token = self._next_token()
             value = token[0]
         elif token_kind == "string":
             value = self._next_token()
         else:
-            value = int(self._next_token())
+            value = self._parse_token(int)
         self._store_lvalue(cell_like, value)
+
+    def _parse_token(self, kind: type):
+        token = self._next_token()
+        try:
+            return kind(token)
+        except ValueError:
+            raise RuntimeFault(
+                f"cin expected {kind.__name__}, got {token!r}") from None
 
     def _write(self, value) -> None:
         if isinstance(value, float):
@@ -588,6 +605,7 @@ class Interpreter:
         if op in ("&", "|", "^", "<<", ">>"):
             self._charge(self.cost.int_arith)
             li, ri = int(left_num), int(right_num)
+            _check_shift(op, ri)
             return {"&": li & ri, "|": li | ri, "^": li ^ ri,
                     "<<": li << ri, ">>": li >> ri}[op]
         raise RuntimeFault(f"unsupported binary operator {op!r}")
@@ -670,6 +688,7 @@ class Interpreter:
             return remainder if left >= 0 else -remainder
         if op in ("&", "|", "^", "<<", ">>"):
             li, ri = int(left), int(right)
+            _check_shift(op, ri)
             return {"&": li & ri, "|": li | ri, "^": li ^ ri,
                     "<<": li << ri, ">>": li >> ri}[op]
         raise RuntimeFault(f"unsupported compound operator {op}=")

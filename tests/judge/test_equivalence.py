@@ -535,6 +535,11 @@ FAULT_PROGRAMS = [
     "int main() { vector<vector<int>> g(2, vector<int>(2, 0)); g[1][5]++; }",
     "int main() { map<int, int> m; m[1].first = 3; }",
     "int main() { for (int i = 0; i < 10; i++) { int j = i; } cout << j; }",
+    "int main() { int a = -1; cout << (1 << a); }",
+    "int main() { long long a = 1099511627776LL; cout << (1 << a); }",
+    "int main() { int a = 8; a >>= 64; }",
+    "int main() { cout << 1; break; }",
+    "void f() { continue; } int main() { f(); }",
 ]
 
 
@@ -558,6 +563,7 @@ IO_PROGRAMS = {
         }""",
     "read_past_end": "int main() { int a, b; cin >> a >> b; cout << a; }",
     "bad_int_token": "int main() { int a; cin >> a; cout << a; }",
+    "bad_double_token": "int main() { double d; cin >> d; cout << d; }",
 }
 
 

@@ -96,6 +96,46 @@ class TestOperatorsComputeOnlyTheRequestedResult:
         assert out == "01"
 
 
+class TestUndefinedOperationsFault:
+    """Operations C++ leaves undefined are runtime faults, which the
+    judge reports as a verdict, not Python errors that escape it."""
+
+    def test_negative_shift_count(self):
+        # Python raises ValueError: negative shift count
+        with pytest.raises(RuntimeFault, match="shift count -1"):
+            run("int main() { int a; cin >> a; cout << (1 << a); }", "-1")
+
+    def test_huge_shift_count(self):
+        # Python raises MemoryError building a 2**40-bit integer
+        with pytest.raises(RuntimeFault, match="shift count 1099511627776"):
+            run("int main() { long long a; cin >> a; a = 1 << a; "
+                "cout << a; }", "1099511627776")
+
+    def test_shift_count_bound_applies_to_right_shift(self):
+        assert run("int main() { cout << (-8 >> 63); }") == "-1"
+        with pytest.raises(RuntimeFault, match="shift count 64"):
+            run("int main() { int a = 64; cout << (8 >> a); }")
+
+    def test_cin_int_on_a_word(self):
+        # Python raises ValueError: invalid literal for int()
+        with pytest.raises(RuntimeFault, match="cin expected int, got 'abc'"):
+            run("int main() { int a; cin >> a; cout << a; }", "abc")
+
+    def test_cin_double_on_a_word(self):
+        with pytest.raises(RuntimeFault,
+                           match="cin expected float, got 'abc'"):
+            run("int main() { double d; cin >> d; cout << d; }", "abc")
+
+    def test_break_outside_a_loop(self):
+        # escaped as the interpreter's private break signal
+        with pytest.raises(RuntimeFault, match="break outside a loop"):
+            run("int main() { cout << 1; break; }")
+
+    def test_continue_outside_a_loop_in_a_callee(self):
+        with pytest.raises(RuntimeFault, match="continue outside a loop"):
+            run("void f() { continue; } int main() { f(); cout << 1; }")
+
+
 class TestControlFlow:
     def test_for_loop_sum(self):
         out = run("int main() { int s = 0; "

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn import (ChildSumTreeLSTM, Embedding, ForestSchedule, LSTM,
                       Tensor, TreeLSTMStack, TreeSchedule, schedule_for)
+from repro.nn.treelstm import share_subtrees
 
 from ..helpers import backend_tolerance, check_gradients
 
@@ -161,6 +162,38 @@ class TestForestSchedule:
                                    atol=backend_tolerance(1e-12))
 
 
+def assert_table_path_matches_reference(sched, ids, vocab, direction, layers,
+                                        rng):
+    """Root states and every gradient, the embedding's included, of the
+    table path (hash-consed subtrees) against the node-level reference:
+    the embedding lookup followed by dense projections over the nodes.
+    ``rng`` draws the readout weights."""
+    emb = Embedding(vocab, 3, rng=np.random.default_rng(2))
+    stack = TreeLSTMStack(3, 4, num_layers=layers, direction=direction,
+                          rng=np.random.default_rng(3))
+    named = [("embedding", emb.weight), *stack.named_parameters()]
+    readout = Tensor(rng.normal(size=(len(sched.roots), 4)))
+
+    def run(table_path):
+        for _, p in named:
+            p.zero_grad()
+        if table_path:
+            z = stack.root_states(emb.weight, sched, ids)
+        else:
+            z = stack.root_states(emb(ids), sched)
+        (z * readout).sum().backward()
+        return z.data, [p.grad for _, p in named]
+
+    z_table, grads_table = run(table_path=True)
+    z_ref, grads_ref = run(table_path=False)
+    tol = backend_tolerance(1e-8)
+    np.testing.assert_allclose(z_table, z_ref, rtol=0, atol=tol)
+    for (name, _), got, want in zip(named, grads_table, grads_ref):
+        assert got is not None and want is not None, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol,
+                                   err_msg=name)
+
+
 class TestTablePath:
     """A first layer fed the embedding table plus node ids projects the
     table and reads it by id. Root states and every gradient, the
@@ -182,36 +215,127 @@ class TestTablePath:
         sched = self._schedule(kind)
         rng = np.random.default_rng(layers)
         ids = rng.integers(0, self.VOCAB, sched.num_nodes)  # repeated types
-        emb = Embedding(self.VOCAB, 3, rng=np.random.default_rng(2))
-        stack = TreeLSTMStack(3, 4, num_layers=layers, direction=direction,
-                              rng=np.random.default_rng(3))
-        named = [("embedding", emb.weight), *stack.named_parameters()]
-        readout = Tensor(rng.normal(size=(len(sched.roots), 4)))
-
-        def run(table_path):
-            for _, p in named:
-                p.zero_grad()
-            if table_path:
-                z = stack.root_states(emb.weight, sched, ids)
-            else:
-                z = stack.root_states(emb(ids), sched)
-            (z * readout).sum().backward()
-            return z.data, [p.grad for _, p in named]
-
-        z_table, grads_table = run(table_path=True)
-        z_ref, grads_ref = run(table_path=False)
-        tol = backend_tolerance(1e-8)
-        np.testing.assert_allclose(z_table, z_ref, rtol=0, atol=tol)
-        for (name, _), got, want in zip(named, grads_table, grads_ref):
-            assert got is not None and want is not None, name
-            np.testing.assert_allclose(got, want, rtol=0, atol=tol,
-                                       err_msg=name)
+        assert_table_path_matches_reference(sched, ids, self.VOCAB,
+                                            direction, layers, rng)
 
     def test_node_ids_must_cover_the_schedule(self):
         cell = ChildSumTreeLSTM(3, 4)
         table = Tensor(np.zeros((self.VOCAB, 3)))
         with pytest.raises(ValueError, match="node ids"):
             cell(table, TreeSchedule([[1], []]), ids=np.array([0, 1, 2]))
+        stack = TreeLSTMStack(3, 4)
+        with pytest.raises(ValueError, match="node ids"):
+            stack.root_states(table, TreeSchedule([[1], []]),
+                              ids=np.array([0, 1, 2]))
+
+
+def random_children(rng, n):
+    """Children lists of a random n-node tree rooted at node 0: the
+    parent of node i > 0 is uniform in [0, i)."""
+    children = [[] for _ in range(n)]
+    for i in range(1, n):
+        children[int(rng.integers(0, i))].append(i)
+    return children
+
+
+class TestSharedSubtrees:
+    """``share_subtrees`` merges nodes whose type-labelled subtrees are
+    equal, children in edge order, and the stack's table path computes
+    each class once."""
+
+    # root(0) -> a(1) -> leaf(3); root -> a'(2) -> leaf(4): 1 ~ 2, 3 ~ 4
+    TWIN = [[1, 2], [3], [4], [], []]
+    TWIN_IDS = [0, 1, 1, 2, 2]
+
+    @staticmethod
+    def _forest(children_list, ids_list):
+        sched = ForestSchedule([TreeSchedule(c) for c in children_list])
+        ids = np.concatenate([np.asarray(i) for i in ids_list])
+        return sched, ids, share_subtrees(sched.up_levels, ids)
+
+    def test_single_tree_schedule(self):
+        sched = TreeSchedule(self.TWIN)
+        levels, reps, row_of = share_subtrees(sched.up_levels,
+                                              np.array(self.TWIN_IDS))
+        assert len(reps) == 3
+        assert row_of[1] == row_of[2] and row_of[3] == row_of[4]
+        # a class id is its row: levels number classes consecutively
+        assert np.concatenate([lvl[0] for lvl in levels]).tolist() == [0, 1, 2]
+        assert row_of.tolist() == [2, 1, 1, 0, 0]
+        # the root class reads the shared child class twice
+        assert levels[2][1].tolist() == [1, 1]
+        assert levels[2][2].tolist() == [0, 0]
+
+    def test_identical_trees_give_one_trees_classes(self):
+        k = 4
+        _, _, (_, reps, row_of) = self._forest([self.TWIN] * k,
+                                               [self.TWIN_IDS] * k)
+        assert len(reps) == 3
+        assert row_of.reshape(k, -1).tolist() == [[2, 1, 1, 0, 0]] * k
+
+    def test_leaves_of_one_type_share_one_row(self):
+        _, _, (levels, reps, row_of) = self._forest(
+            [[[1, 2, 3], [], [], []], [[1], []], [[]]],
+            [[0, 5, 5, 5], [1, 5], [5]])
+        assert levels[0][0].tolist() == [0]
+        assert row_of[[1, 2, 3, 5, 6]].tolist() == [0] * 5
+        assert len(reps) == 3
+
+    def test_child_order_makes_two_classes(self):
+        _, _, (levels, reps, row_of) = self._forest(
+            [[[1, 2], [], []], [[1, 2], [], []]], [[0, 1, 2], [0, 2, 1]])
+        assert len(reps) == 4
+        assert row_of[0] != row_of[3]
+        assert levels[1][1].tolist() == [0, 1, 1, 0]
+
+    def test_types_split_equal_shapes(self):
+        _, _, (_, reps, row_of) = self._forest(
+            [self.TWIN] * 2, [self.TWIN_IDS, [0, 1, 1, 2, 3]])
+        assert len(reps) == 6
+        assert row_of[0] != row_of[5]
+
+    @pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_node_states_match_reference_per_node(self, direction, layers):
+        sched, ids, (_, reps, _) = self._forest(
+            [self.TWIN, TestForestSchedule.TREES[3], self.TWIN],
+            [self.TWIN_IDS, [0, 1, 2, 1, 2], self.TWIN_IDS])
+        assert len(reps) < sched.num_nodes
+        emb = Embedding(3, 3, rng=np.random.default_rng(2))
+        stack = TreeLSTMStack(3, 4, num_layers=layers, direction=direction,
+                              rng=np.random.default_rng(3))
+        np.testing.assert_allclose(stack(emb.weight, sched, ids).data,
+                                   stack(emb(ids), sched).data, rtol=0,
+                                   atol=backend_tolerance(1e-8))
+
+
+@st.composite
+def shared_forests(draw):
+    """A forest of random trees over a 3-type vocabulary, some of them
+    repeated, with its node ids. Tree 0 has an edge, so every parameter
+    gets a gradient."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    sizes = [draw(st.integers(2, 9))] + draw(st.lists(st.integers(1, 9),
+                                                      max_size=2))
+    distinct = [(random_children(rng, n), rng.integers(0, 3, n))
+                for n in sizes]
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=5))
+    if 0 not in picks:
+        picks.append(0)
+    sched = ForestSchedule([TreeSchedule(distinct[p][0]) for p in picks])
+    return sched, np.concatenate([distinct[p][1] for p in picks])
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@settings(max_examples=8, deadline=None)
+@given(forest=shared_forests())
+def test_property_shared_subtrees_match_node_level_reference(
+        direction, layers, forest):
+    sched, ids = forest
+    assert_table_path_matches_reference(sched, ids, 3, direction, layers,
+                                        np.random.default_rng(0))
 
 
 class TestScheduleMemo:
@@ -407,11 +531,7 @@ class TestTreeLSTMStack:
 def test_property_random_tree_root_grad_matches_numeric(seed, n):
     """For random trees, d(root h)/d(embedding) matches finite differences."""
     rng = np.random.default_rng(seed)
-    # Random tree: parent of node i (>0) is uniform in [0, i).
-    children = [[] for _ in range(n)]
-    for i in range(1, n):
-        children[int(rng.integers(0, i))].append(i)
-    sched = TreeSchedule(children)
+    sched = TreeSchedule(random_children(rng, n))
     cell = ChildSumTreeLSTM(2, 2, rng=rng)
     x = Tensor(rng.normal(size=(n, 2)), requires_grad=True)
 
