@@ -153,30 +153,27 @@ def test_bench_full_epoch(benchmark, table1_db):
 
 def test_bench_segment_sum_fused(benchmark):
     """The fused per-level child aggregation of the forest encode: h~ and
-    sum(f*c) bucketed in ONE segment sweep (forward + backward), at a
-    realistic deep-forest level size (3k edges -> 1.2k parents, h=16)."""
-    from repro.nn.tensor import Tensor
-    from repro.nn.treelstm import _segment_sum_pair
+    sum(f*c) bucketed in ONE segment sweep, then the row read its
+    backward makes, at a realistic deep-forest level size (3k edges ->
+    1.2k parents, h=16)."""
+    from repro.nn import backend
 
+    kernels = backend.active()
     rng = np.random.default_rng(0)
     edges, parents, hidden = 3000, 1200, 16
     seg = np.sort(rng.integers(0, parents, edges)).astype(np.int64)
-    h_children = Tensor(rng.standard_normal((edges, hidden)),
-                        requires_grad=True)
-    fc_children = Tensor(rng.standard_normal((edges, hidden)),
-                         requires_grad=True)
+    h_children, f_edges, c_children = (
+        kernels.asarray(rng.standard_normal((edges, hidden)))
+        for _ in range(3))
 
     def level_aggregate():
-        h_children.zero_grad()
-        fc_children.zero_grad()
-        h_tilde, fc = _segment_sum_pair(h_children, fc_children, seg,
-                                        parents)
-        (h_tilde.sum() + fc.sum()).backward()
-        return h_tilde
+        sums = kernels.segment_sum_pair_gated(h_children, f_edges,
+                                              c_children, seg, parents)
+        return sums, kernels.take_rows(sums, seg)
 
-    h_tilde = benchmark(level_aggregate)
-    assert h_tilde.shape == (parents, hidden)
-    assert h_children.grad is not None
+    sums, read = benchmark(level_aggregate)
+    assert sums.shape == (parents, 2 * hidden)
+    assert read.shape == (edges, 2 * hidden)
 
 
 def test_bench_judge_execution(benchmark):

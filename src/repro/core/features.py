@@ -71,39 +71,20 @@ class ForestFeatures:
         return int(self.node_ids.shape[0])
 
 
-_FOREST_CACHE: dict[tuple[int, ...], ForestSchedule] = {}
-_FOREST_CACHE_SIZE = 512
-
-
-def _forest_schedule_for(schedules: list[TreeSchedule]) -> ForestSchedule:
-    # Keyed on member identity: per-tree schedules are themselves
-    # memoized by structure (schedule_for), so a recurring batch
-    # composition (fixed eval sets, repeated benchmark steps) reuses
-    # the merged schedule. Safe because ForestSchedule holds strong
-    # references to its members, so a live cache entry pins the ids.
-    key = tuple(id(s) for s in schedules)
-    forest = _FOREST_CACHE.get(key)
-    if forest is None:
-        forest = ForestSchedule(schedules)
-        if len(_FOREST_CACHE) >= _FOREST_CACHE_SIZE:
-            _FOREST_CACHE.pop(next(iter(_FOREST_CACHE)))
-        _FOREST_CACHE[key] = forest
-    return forest
-
-
 def pack_forest(trees: list[TreeFeatures]) -> ForestFeatures:
     """Concatenate a batch of featurized trees into one forest.
 
     Packing is pure index arithmetic on the already-built per-tree
-    schedules; the fused encode is numerically equivalent to encoding
-    each tree alone (verified by the equivalence test-suite). Merged
-    schedules are memoized, so re-packing a recurring batch is free.
+    schedules (concatenations and one sort by level); the fused encode
+    is numerically equivalent to encoding each tree alone (verified by
+    the equivalence test-suite). Nothing is memoized: training batches
+    are shuffled, so a merged schedule is rarely met twice.
     """
     if not trees:
         raise ValueError("cannot pack an empty batch of trees")
     return ForestFeatures(
         node_ids=np.concatenate([t.node_ids for t in trees]),
-        schedule=_forest_schedule_for([t.schedule for t in trees]),
+        schedule=ForestSchedule([t.schedule for t in trees]),
         trees=list(trees),
     )
 

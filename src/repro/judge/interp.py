@@ -284,6 +284,59 @@ def _comparable(left, right):
     return left, right
 
 
+#: Container values; comparing one is defined only between two vectors.
+_CONTAINERS = frozenset({VectorVal, MapVal, SetVal, QueueVal, StackVal,
+                         PriorityQueueVal})
+
+
+def _container_relation(st, op: str, left, right, cost: int) -> bool:
+    """``left op right`` with a container operand. Two vectors compare
+    as ``std::vector`` does: ``==``/``!=`` element-wise after a size
+    check, the orderings lexicographically. Each element pair examined
+    is charged ``cost``; any other container comparison faults."""
+    if op in ("==", "!="):
+        return _vectors_equal(st, left, right, cost) == (op == "==")
+    return _RELATIONS[op](_vector_order(st, left, right, cost), 0)
+
+
+def _vector_items(left, right) -> tuple[list, list]:
+    if type(left) is not VectorVal or type(right) is not VectorVal:
+        raise RuntimeFault(f"cannot compare {type(left).__name__} "
+                           f"with {type(right).__name__}")
+    return left.items, right.items
+
+
+def _vectors_equal(st, left, right, cost: int) -> bool:
+    a_items, b_items = _vector_items(left, right)
+    if len(a_items) != len(b_items):
+        return False
+    for a, b in zip(a_items, b_items):
+        _charge(st, cost)
+        if type(a) in _CONTAINERS or type(b) in _CONTAINERS:
+            if not _vectors_equal(st, a, b, cost):
+                return False
+        else:
+            a, b = _comparable(a, b)
+            if a != b:
+                return False
+    return True
+
+
+def _vector_order(st, left, right, cost: int) -> int:
+    """-1, 0 or 1 as ``left`` sorts before, with or after ``right``."""
+    a_items, b_items = _vector_items(left, right)
+    for a, b in zip(a_items, b_items):
+        _charge(st, cost)
+        if type(a) in _CONTAINERS or type(b) in _CONTAINERS:
+            order = _vector_order(st, a, b, cost)
+        else:
+            a, b = _comparable(a, b)
+            order = (a > b) - (a < b)
+        if order:
+            return order
+    return (len(a_items) > len(b_items)) - (len(a_items) < len(b_items))
+
+
 def _bitwise(op: str, left: int, right: int) -> int:
     if op == "&":
         return left & right
@@ -1518,6 +1571,8 @@ class _Compiler:
             if st.cycles > st.max_cycles:
                 raise TimeLimitExceeded(st.cycles)
             if type(a) is not int or type(b) is not int:
+                if type(a) in _CONTAINERS or type(b) in _CONTAINERS:
+                    return _container_relation(st, op, a, b, cost)
                 a, b = _comparable(a, b)
             return relation(a, b)
         return compare

@@ -2,8 +2,8 @@
 
 Every numerical hot spot of the reproduction funnels through a handful
 of named kernels — the per-level segment sums of the tree-LSTM, the
-multi-source ``gather_rows`` / scatter-add pair that moves states
-between levels, the gate GEMMs, and gradient-buffer allocation. This
+``take_rows`` / ``scatter_add_rows`` pair that moves states between
+levels, the gate GEMMs, and gradient-buffer allocation. This
 module gives those kernels a dispatch seam so a faster implementation
 (or a different float width) can be selected **without forking any
 model code**:
@@ -270,19 +270,6 @@ class KernelBackend:
         """Row gather ``data[rows]`` (embedding/state lookup)."""
         return data[rows]
 
-    def gather_rows(self, sources: list[np.ndarray], source_ids: np.ndarray,
-                    row_ids: np.ndarray, used: np.ndarray) -> np.ndarray:
-        """Multi-source row gather: ``out[e] = sources[src[e]][row[e]]``.
-
-        ``used`` is the (validated) unique source ids actually read.
-        """
-        out = np.empty((source_ids.shape[0],) + sources[0].shape[1:],
-                       dtype=sources[0].dtype)
-        for s in used:
-            mask = source_ids == s
-            out[mask] = sources[s][row_ids[mask]]
-        return out
-
     def scatter_add_rows(self, out: np.ndarray, rows: np.ndarray,
                          values: np.ndarray) -> None:
         """In-place ``out[rows] += values`` with duplicate rows summed.
@@ -473,8 +460,8 @@ class CNativeBackend(Numpy64Backend):
 
     Dispatch guards: 2-D float64 operands take the C path, everything
     else (odd ranks, float32 operands passed directly, empty index
-    lists, row indices outside ``[0, rows)`` for the row take, gather
-    and scatter) falls back to the NumPy implementations. Plain GEMMs
+    lists, row indices outside ``[0, rows)`` for the row take and
+    scatter) falls back to the NumPy implementations. Plain GEMMs
     (``activation=None``) always go to BLAS — it wins at every size we
     measured. GEMMs *with* a fused activation run the compiled loop,
     which folds the nonlinearity into the same pass over the output
@@ -537,13 +524,6 @@ class CNativeBackend(Numpy64Backend):
                 or not _rows_in_range(rows, data.shape[0]):
             return super().take_rows(data, rows)
         return self._lib().take_rows(data, rows)
-
-    def gather_rows(self, sources, source_ids, row_ids, used):
-        if (any(s.ndim != 2 or s.dtype != np.float64 for s in sources)
-                or not _rows_in_range(row_ids, np.array(
-                    [s.shape[0] for s in sources])[source_ids])):
-            return super().gather_rows(sources, source_ids, row_ids, used)
-        return self._lib().gather_rows(sources, source_ids, row_ids)
 
     def scatter_add_rows(self, out, rows, values):
         if out.ndim != 2 or values.ndim != 2 \

@@ -6,7 +6,7 @@ This package is the **only** place in ``src/`` allowed to touch
 ``native-compile-outside-cnative`` rule).  It has three parts:
 
 * ``kernels.c`` — the C implementations of every ops-backend kernel
-  (fused segment sums, row gathers/scatter-add, the gate GEMM with a
+  (fused segment sums, row take/scatter-add, the gate GEMM with a
   fused bias+sigmoid/tanh epilogue);
 * :mod:`~repro.nn.cnative.build` — the source-hash-keyed build cache
   under ``~/.cache/repro/cnative`` (``REPRO_CACHE_DIR`` to relocate),

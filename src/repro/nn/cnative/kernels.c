@@ -173,19 +173,6 @@ void repro_take_rows(const double *data, const i64 *rows, i64 n, i64 w,
         memcpy(out + e * w, data + rows[e] * w, (size_t)w * sizeof(double));
 }
 
-/* out[e, :] = sources[src_ids[e]][row_ids[e], :] — the multi-source
- * gather that fetches each node's children from arbitrary earlier
- * levels.  Replaces one boolean mask + fancy-index pass per source. */
-void repro_gather_rows(const double **sources, const i64 *src_ids,
-                       const i64 *row_ids, i64 n, i64 w,
-                       double *out, int nt)
-{
-#pragma omp parallel for schedule(static) num_threads(nt) if (nt > 1)
-    for (i64 e = 0; e < n; ++e)
-        memcpy(out + e * w, sources[src_ids[e]] + row_ids[e] * w,
-               (size_t)w * sizeof(double));
-}
-
 /* out = base + mat @ weight^T with an optionally fused activation.
  *
  *   base_mode 0: base is a bias row of length n (broadcast over rows)

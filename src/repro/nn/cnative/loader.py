@@ -90,7 +90,6 @@ class NativeKernels:
             "repro_segment_sum_pair_gated": [VP, VP, VP, VP, LL, LL, VP,
                                              IT],
             "repro_take_rows": [VP, VP, LL, LL, VP, IT],
-            "repro_gather_rows": [VP, VP, VP, LL, LL, VP, IT],
             "repro_gemm_gates": [VP, IT, VP, VP, LL, LL, LL, VP, IT, IT],
             "repro_act_backward": [VP, VP, LL, LL, LL, IT, VP, IT],
             "repro_lstm_cell": [VP, VP, LL, LL, VP, VP, IT],
@@ -162,24 +161,6 @@ class NativeKernels:
         out = np.empty((n, data.shape[1]), dtype=np.float64)
         self._c.repro_take_rows(
             data.ctypes.data, rows.ctypes.data, n, data.shape[1],
-            out.ctypes.data, _threads_for(n, nthreads))
-        return out
-
-    def gather_rows(self, sources: list[np.ndarray], source_ids: np.ndarray,
-                    row_ids: np.ndarray,
-                    nthreads: int | None = None) -> np.ndarray:
-        src_ids = _i64(source_ids)
-        row_idx = _i64(row_ids)
-        n = src_ids.shape[0]
-        w = sources[0].shape[1]
-        # keep the (possibly coerced) arrays referenced until the call
-        # returns — the pointer table below borrows their buffers
-        holders = [_f64(s) for s in sources]
-        ptrs = (ctypes.c_void_p * len(holders))(
-            *[s.ctypes.data for s in holders])
-        out = np.empty((n, w), dtype=np.float64)
-        self._c.repro_gather_rows(
-            ptrs, src_ids.ctypes.data, row_idx.ctypes.data, n, w,
             out.ctypes.data, _threads_for(n, nthreads))
         return out
 

@@ -153,8 +153,8 @@ class Tensor:
     def _accumulate_at(self, key, grad: np.ndarray) -> None:
         """Sparse gradient accumulation: scatter-add ``grad`` at ``key``.
 
-        Gather-style ops (``take_rows``, ``__getitem__``, ``gather_rows``)
-        read only a few rows, so their backward must not pay a full
+        Gather-style ops (``take_rows``, ``__getitem__``) read only a few
+        rows, so their backward must not pay a full
         ``zeros_like`` + dense add per read. The zero buffer is allocated
         once per backward sweep and every subsequent read scatters into
         it directly — O(rows read) instead of O(tensor size).
@@ -163,7 +163,7 @@ class Tensor:
             self.grad = _backend.active().grad_buffer(self.data.shape,
                                                       self.data.dtype)
         if isinstance(key, np.ndarray) and key.dtype.kind in "iu" and key.ndim == 1:
-            # Row scatter-add — the hot path of take_rows/gather_rows;
+            # Row scatter-add — the hot path of take_rows;
             # dispatched so compiled backends can own it.
             _backend.active().scatter_add_rows(self.grad, key, grad)
             return
@@ -405,40 +405,6 @@ class Tensor:
                 self._accumulate_at(idx, grad)
 
         return Tensor._make(out_data, (self,), backward)
-
-    @staticmethod
-    def gather_rows(sources: list["Tensor"], source_ids, row_ids) -> "Tensor":
-        """Gather rows across several same-width tensors in one op.
-
-        ``out[e] = sources[source_ids[e]].data[row_ids[e]]``. This is the
-        multi-source companion of :meth:`take_rows`: the forest encoder
-        keeps one tensor of states per level, and fetching each node's
-        children (which live on arbitrary earlier levels) needs a single
-        graph node rather than one concat of all levels per lookup.
-        The backward scatters sparsely into each source that was read.
-        """
-        sources = tuple(Tensor._coerce(s) for s in sources)
-        if not sources:
-            raise ValueError("gather_rows requires at least one source")
-        src_ids = np.asarray(source_ids, dtype=np.int64)
-        row_idx = np.asarray(row_ids, dtype=np.int64)
-        if src_ids.shape != row_idx.shape or src_ids.ndim != 1:
-            raise ValueError("source_ids and row_ids must be equal-length 1-D arrays")
-        used = np.unique(src_ids)
-        for s in used:
-            if not 0 <= s < len(sources):
-                raise ValueError(f"source id {s} out of range for {len(sources)} sources")
-        out_data = _backend.active().gather_rows(
-            [s.data for s in sources], src_ids, row_idx, used)
-
-        def backward(grad):
-            for s in used:
-                src = sources[s]
-                if src.requires_grad:
-                    mask = src_ids == s
-                    src._accumulate_at(row_idx[mask], grad[mask])
-
-        return Tensor._make(out_data, sources, backward)
 
     @staticmethod
     def addmm(base: "Tensor", mat: "Tensor", weight: "Tensor",

@@ -32,12 +32,22 @@ its tree equals its height/depth in the forest, the fused recursion is
 mathematically identical to encoding each tree alone; the equivalence
 test-suite verifies agreement to ~1e-12.
 
-Within one pass, per-level outputs are accumulated in a Python list and
-concatenated **once** at the end; children (which live on arbitrary
-earlier levels) are fetched with :meth:`Tensor.gather_rows`. The
-previous implementation grew the state tensor with ``Tensor.concat``
-every level, which copied all earlier levels again and again —
-O(levels²) traffic that dominated on deep ASTs.
+Packing is index arithmetic, not a walk: every :class:`TreeSchedule`
+keeps flat per-node arrays (height, depth, parent, node-major edges),
+and the forest concatenates them with offsets and sorts them by level
+once, for up and down levels alike.
+
+One pass is **one autograd node** (:func:`_tree_pass`). Its forward
+runs the level loop on raw arrays through the backend kernels (a row
+take of the children, the forget-gate GEMM, the fused segment sum, the
+i|o|u gate GEMM, the fused cell) and writes every level's ``[h | c]``
+rows into one level-major block; children, which live on arbitrary
+earlier levels, are rows of that same block. Its hand-written backward
+walks the levels in reverse, scattering each level's child gradients
+into the block's gradient, and then accumulates the input projections
+with one row scatter each and the recurrent weights with one GEMM
+each. A training step's graph holds a few nodes per layer, not a few
+per level, and ``no_grad`` passes keep nothing for a backward.
 
 Table path
 ----------
@@ -81,120 +91,13 @@ import numpy as np
 from . import backend as _backend
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["TreeSchedule", "ForestSchedule", "schedule_for",
            "share_subtrees", "ChildSumTreeLSTM", "TreeLSTMStack",
            "DIRECTIONS"]
 
 DIRECTIONS = ("uni", "bi", "alternating")
-
-
-def _segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets (autograd-aware)."""
-    out_data = _segment_reduce(x.data, segment_ids, num_segments)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad[segment_ids])
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def _segment_reduce(data: np.ndarray, segment_ids: np.ndarray,
-                    num_segments: int) -> np.ndarray:
-    """Raw segment sum, dispatched to the active backend's kernel.
-
-    The backend keeps the historical behaviour: a ``reduceat`` fast path
-    for non-decreasing ids (what every level schedule emits, including
-    the empty-segment variant) and a ``np.add.at`` scatter fallback for
-    unsorted ids. Compiled backends replace both with a JIT loop that
-    accumulates in the same edge order.
-    """
-    return _backend.active().segment_sum(data, segment_ids, num_segments)
-
-
-def _segment_sum_pair(a: Tensor, b: Tensor, segment_ids: np.ndarray,
-                      num_segments: int) -> tuple[Tensor, Tensor]:
-    """Fused segment sum of two same-shaped operands (one sweep, one node).
-
-    The tree-LSTM level step needs two bucket sums over the *same* edge
-    list — the child-state sum h̃ and the forget-gated cell sum Σ f⊙c.
-    Concatenating the operands along the feature axis turns those two
-    scatters into a single reduction over a twice-as-wide matrix, and
-    the backward into a single gather: half the segment-reduce calls
-    per level (the ROADMAP "fuse the two ``_segment_sum`` calls" lever).
-    """
-    width = a.shape[1]
-    fused = _backend.active().segment_sum_pair(a.data, b.data,
-                                               segment_ids, num_segments)
-
-    def backward(grad):
-        gathered = grad[segment_ids]
-        if a.requires_grad:
-            a._accumulate(gathered[:, :width])
-        if b.requires_grad:
-            b._accumulate(gathered[:, width:])
-
-    out = Tensor._make(fused, (a, b), backward)
-    return out[:, :width], out[:, width:]
-
-
-def _segment_sum_pair_gated(a: Tensor, f: Tensor, c: Tensor,
-                            segment_ids: np.ndarray,
-                            num_segments: int) -> tuple[Tensor, Tensor]:
-    """:func:`_segment_sum_pair` with the forget-gate product fused in.
-
-    The second operand of the upward level step is always ``f ⊙ c``
-    (forget gates times child cells). Folding the product into the
-    sweep drops the explicit mul node — one less full-size temporary
-    forward and one less gather/accumulate round backward. The
-    backward applies the product rule against the *saved* operand data
-    in the same order the composed graph did (f first, then c), so
-    gradients stay bitwise identical.
-    """
-    width = a.shape[1]
-    fused = _backend.active().segment_sum_pair_gated(
-        a.data, f.data, c.data, segment_ids, num_segments)
-
-    def backward(grad):
-        gathered = grad[segment_ids]
-        if a.requires_grad:
-            a._accumulate(gathered[:, :width])
-        gate_grad = gathered[:, width:]
-        if f.requires_grad:
-            f._accumulate(gate_grad * c.data)
-        if c.requires_grad:
-            c._accumulate(gate_grad * f.data)
-
-    out = Tensor._make(fused, (a, f, c), backward)
-    return out[:, :width], out[:, width:]
-
-
-def _lstm_cell(iou: Tensor, fc: Tensor) -> tuple[Tensor, Tensor]:
-    """Fused pointwise LSTM cell: one node for the whole gate algebra.
-
-    ``iou`` holds the *post*-activation packed gate block (the fused
-    ``addmm(..., activation="iou")`` output) and ``fc`` the
-    forget-gated cell sum.  The composed graph spent seven nodes per
-    level on ``c = i⊙u + fc; h = o⊙tanh(c)`` (three gate slices, two
-    muls, an add, a tanh); this is one backend kernel forward and one
-    backward, with identical float64 results (the backend keeps the
-    historical elementwise op order).  Returns ``(h, c)`` as slices of
-    the packed ``[h | c]`` output.
-    """
-    hs = fc.shape[1]
-    packed, th = _backend.active().lstm_cell(iou.data, fc.data)
-
-    def backward(grad):
-        giou, gfc = _backend.active().lstm_cell_backward(grad, iou.data, th)
-        if iou.requires_grad:
-            iou._accumulate(giou)
-        if fc.requires_grad:
-            fc._accumulate(gfc)
-
-    out = Tensor._make(packed, (iou, fc), backward)
-    return out[:, :hs], out[:, hs:]
 
 
 class TreeSchedule:
@@ -220,6 +123,10 @@ class TreeSchedule:
         ``nodes[i]``. The first level holds the roots with parents == -1.
     roots:
         Indices of nodes with no parent.
+    height, depth, edge_parent, edge_child:
+        The flat arrays the levels are sorted from: each node's up level
+        (leaves 0) and down level (roots 0), and every (parent, child)
+        edge node by node, children in list order.
     """
 
     def __init__(self, children: list[list[int]]):
@@ -261,22 +168,7 @@ class TreeSchedule:
         if seen != n:
             raise ValueError("tree has a cycle: topological sort incomplete")
 
-        self.up_levels = []
-        for lvl in range(int(height.max()) + 1):
-            nodes = np.flatnonzero(height == lvl)
-            edge_child: list[int] = []
-            edge_parent_pos: list[int] = []
-            for i, node in enumerate(nodes):
-                for k in children[node]:
-                    edge_child.append(int(k))
-                    edge_parent_pos.append(i)
-            self.up_levels.append(
-                (nodes,
-                 np.asarray(edge_child, dtype=np.int64),
-                 np.asarray(edge_parent_pos, dtype=np.int64))
-            )
-
-        # Depth levels for the downward pass (root depth 0).
+        # Depth of each node (roots 0), breadth first from the roots.
         depth = np.zeros(n, dtype=np.int64)
         order = [int(r) for r in self.roots]
         head = 0
@@ -286,10 +178,45 @@ class TreeSchedule:
             for k in children[j]:
                 depth[k] = depth[j] + 1
                 order.append(int(k))
-        self.down_levels = []
-        for lvl in range(int(depth.max()) + 1):
-            nodes = np.flatnonzero(depth == lvl)
-            self.down_levels.append((nodes, parent[nodes]))
+        self.height = height
+        self.depth = depth
+        # Edges node by node, each node's children in list order.
+        self.edge_parent = np.repeat(np.arange(n, dtype=np.int64),
+                                     [len(kids) for kids in children])
+        self.edge_child = np.asarray([k for kids in children for k in kids],
+                                     dtype=np.int64)
+        self.up_levels, self.down_levels = _levels(
+            height, depth, parent, self.edge_parent, self.edge_child)
+
+
+def _levels(height: np.ndarray, depth: np.ndarray, parent: np.ndarray,
+            edge_parent: np.ndarray, edge_child: np.ndarray):
+    """``(up_levels, down_levels)`` from flat per-node arrays.
+
+    A stable sort by height (depth) lists each level's nodes in index
+    order, and a stable sort of the node-major edges by their parent's
+    height lists each up level's edges node by node, children in edge
+    order. Heights and depths have no gaps, so no level is empty.
+    """
+    up_order = np.argsort(height, kind="stable")
+    up_sizes = np.bincount(height)
+    up_cuts = np.cumsum(up_sizes)[:-1]
+    pos = np.empty_like(up_order)                 # position in its level
+    pos[up_order] = (np.arange(up_order.shape[0])
+                     - np.repeat(np.cumsum(up_sizes) - up_sizes, up_sizes))
+    edge_level = height[edge_parent]
+    edge_order = np.argsort(edge_level, kind="stable")
+    edge_cuts = np.cumsum(np.bincount(edge_level,
+                                      minlength=up_sizes.shape[0]))[:-1]
+    up_levels = list(zip(
+        np.split(up_order, up_cuts),
+        np.split(edge_child[edge_order], edge_cuts),
+        np.split(pos[edge_parent[edge_order]], edge_cuts)))
+    down_order = np.argsort(depth, kind="stable")
+    down_cuts = np.cumsum(np.bincount(depth))[:-1]
+    down_levels = list(zip(np.split(down_order, down_cuts),
+                           np.split(parent[down_order], down_cuts)))
+    return up_levels, down_levels
 
 
 _SCHEDULE_CACHE: dict[tuple, TreeSchedule] = {}
@@ -313,24 +240,23 @@ def schedule_for(children: list[list[int]]) -> TreeSchedule:
     return sched
 
 
-def _concat_or_empty(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
 class ForestSchedule:
     """Merged evaluation order for a mini-batch of trees.
 
     Exposes the same attribute contract as :class:`TreeSchedule`
     (``num_nodes``, ``up_levels``, ``down_levels``, ``roots``,
-    ``parent``), so :class:`ChildSumTreeLSTM` consumes either
-    transparently. Node indices of tree ``t`` are shifted by
-    ``tree_offsets[t]`` in the packed ordering.
+    ``parent`` and the flat per-node arrays), so
+    :class:`ChildSumTreeLSTM` consumes either transparently. Node
+    indices of tree ``t`` are shifted by ``tree_offsets[t]`` in the
+    packed ordering.
 
-    Merging is pure index arithmetic over the already-built per-tree
-    schedules (array concatenation with offsets) — no re-traversal of
-    the trees — so packing a fresh shuffled batch every step is cheap.
+    Merging concatenates the members' flat arrays (heights, depths,
+    parents, node-major edges) with offsets and sorts them by level
+    (:func:`_levels`, the same code a tree's own levels come from), so
+    no Python loop runs per level and packing a fresh shuffled batch
+    every step is cheap. Forest level ``L`` is the union
+    of level ``L`` of every member tree, in tree order: a node's height
+    and depth in its tree are its height and depth in the forest.
 
     Attributes
     ----------
@@ -345,56 +271,29 @@ class ForestSchedule:
     def __init__(self, schedules: list[TreeSchedule]):
         if not schedules:
             raise ValueError("cannot build a forest from zero trees")
-        # Keep the member schedules alive: the forest cache keys on
-        # their object identity, which is only stable while they live.
-        self.members = list(schedules)
         sizes = [s.num_nodes for s in schedules]
         self.tree_offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)])
         self.num_nodes = int(self.tree_offsets[-1])
         self.num_trees = len(schedules)
         offs = self.tree_offsets[:-1]
-        self.parent = np.concatenate(
-            [np.where(s.parent >= 0, s.parent + off, -1)
-             for s, off in zip(schedules, offs)])
-        self.roots = np.concatenate(
-            [s.roots + off for s, off in zip(schedules, offs)])
-        self.tree_roots = np.array(
-            [int(s.roots[0]) + off for s, off in zip(schedules, offs)],
-            dtype=np.int64)
-
-        # Forest level L (up): union of level L of every tree that is
-        # that tall. Children of its nodes were produced at levels < L
-        # in their own tree, hence at levels < L of the forest.
-        self.up_levels = []
-        for lvl in range(max(len(s.up_levels) for s in schedules)):
-            nodes_parts, child_parts, pos_parts = [], [], []
-            pos_base = 0
-            for s, off in zip(schedules, offs):
-                if lvl >= len(s.up_levels):
-                    continue
-                nodes, edge_child, edge_parent_pos = s.up_levels[lvl]
-                nodes_parts.append(nodes + off)
-                child_parts.append(edge_child + off)
-                pos_parts.append(edge_parent_pos + pos_base)
-                pos_base += nodes.shape[0]
-            self.up_levels.append((_concat_or_empty(nodes_parts),
-                                   _concat_or_empty(child_parts),
-                                   _concat_or_empty(pos_parts)))
-
-        # Forest level L (down): every tree's depth-L nodes; all their
-        # parents sit at forest level L-1 (or are roots at level 0).
-        self.down_levels = []
-        for lvl in range(max(len(s.down_levels) for s in schedules)):
-            nodes_parts, parent_parts = [], []
-            for s, off in zip(schedules, offs):
-                if lvl >= len(s.down_levels):
-                    continue
-                nodes, parents = s.down_levels[lvl]
-                nodes_parts.append(nodes + off)
-                parent_parts.append(np.where(parents >= 0, parents + off, -1))
-            self.down_levels.append((_concat_or_empty(nodes_parts),
-                                     _concat_or_empty(parent_parts)))
+        parent = np.concatenate([s.parent for s in schedules])
+        self.parent = np.where(parent >= 0, parent + np.repeat(offs, sizes),
+                               -1)
+        self.roots = np.concatenate([s.roots for s in schedules]) \
+            + np.repeat(offs, [s.roots.shape[0] for s in schedules])
+        self.tree_roots = np.array([s.roots[0] for s in schedules],
+                                   dtype=np.int64) + offs
+        edge_offs = np.repeat(offs, [s.edge_child.shape[0] for s in schedules])
+        self.edge_parent = np.concatenate(
+            [s.edge_parent for s in schedules]) + edge_offs
+        self.edge_child = np.concatenate(
+            [s.edge_child for s in schedules]) + edge_offs
+        self.height = np.concatenate([s.height for s in schedules])
+        self.depth = np.concatenate([s.depth for s in schedules])
+        self.up_levels, self.down_levels = _levels(
+            self.height, self.depth, self.parent, self.edge_parent,
+            self.edge_child)
 
 
 def share_subtrees(up_levels: list, ids: np.ndarray):
@@ -467,10 +366,6 @@ def _input_rows(x: Tensor, ids: np.ndarray | None, n: int) -> np.ndarray:
     return ids
 
 
-def _cat_rows(levels: list[Tensor]) -> Tensor:
-    return levels[0] if len(levels) == 1 else Tensor.concat(levels, axis=0)
-
-
 class ChildSumTreeLSTM(Module):
     """One child-sum tree-LSTM pass (upward or downward).
 
@@ -534,110 +429,126 @@ class ChildSumTreeLSTM(Module):
         :func:`share_subtrees`), ``ids[k]`` is the row of ``x`` holding
         item k's input, and ``row_of[k]`` is item k's row in ``h`` and
         ``c``. The input projections run once per row of ``x``; the
-        level loop reads each item's projected row through ``ids``.
+        level loop is one autograd node (:func:`_tree_pass`).
         """
         x_iou = Tensor.addmm(self.b_iou, x, self.w_iou)  # (rows, 3h)
         x_f = Tensor.addmm(self.b_f, x, self.w_f)        # (rows, h)
-        if direction == "up":
-            return self._run_up(x_iou, x_f, ids, levels)
-        return self._run_down(x_iou, x_f, ids, levels)
-
-    # ------------------------------------------------------------------
-    def _level_step(self, x_iou_level: Tensor, h_tilde: Tensor, fc: Tensor):
-        # Two fused nodes for the whole level: the gate GEMM with the
-        # packed i|o|u nonlinearities applied in the same kernel pass,
-        # then the pointwise cell (c = i⊙u + fc, h = o⊙tanh(c)).
-        iou = Tensor.addmm(x_iou_level, h_tilde, self.u_iou,
-                           activation="iou")
-        return _lstm_cell(iou, fc)
-
-    def _run_up(self, x_iou: Tensor, x_f: Tensor, ids: np.ndarray,
-                levels: list):
-        # Levels are processed as whole batches. Per-level outputs are
-        # kept in a list and concatenated ONCE after the loop (the old
-        # per-level Tensor.concat re-copied every earlier level:
-        # O(levels^2) traffic). Children, which live on arbitrary
-        # earlier levels, are fetched with a single multi-source
-        # gather_rows per level. A level's input projections are the
-        # rows ids[nodes] of x_iou / x_f.
+        block, row_of = _tree_pass(x_iou, x_f, self.u_iou, self.u_f,
+                                   levels, ids, direction)
         hs = self.hidden_size
-        n = ids.shape[0]
-        row_of = np.full(n, -1, dtype=np.int64)      # packed output row
-        level_of = np.full(n, -1, dtype=np.int64)    # producing level
-        offset_of = np.full(n, -1, dtype=np.int64)   # row within level
-        h_levels: list[Tensor] = []
-        c_levels: list[Tensor] = []
-        rows = 0
+        return block[:, :hs], block[:, hs:], row_of
 
-        for li, (nodes, edge_child, edge_parent_pos) in enumerate(levels):
-            m = nodes.shape[0]
-            rows_in = ids[nodes]
-            if edge_child.size:
-                src = level_of[edge_child]
-                off = offset_of[edge_child]
-                h_children = Tensor.gather_rows(h_levels, src, off)
-                c_children = Tensor.gather_rows(c_levels, src, off)
-                # Per-edge forget gates f_jk applied to each child's cell.
-                f_edges = Tensor.addmm(x_f.take_rows(rows_in[edge_parent_pos]),
-                                       h_children, self.u_f,
-                                       activation="sigmoid")
-                # h~ and sum(f*c) bucket over the same edges: one fused
-                # segment sweep instead of two.
-                h_tilde, fc = _segment_sum_pair_gated(
-                    h_children, f_edges, c_children, edge_parent_pos, m)
-            else:
-                h_tilde = Tensor(_backend.active().zeros((m, hs)))
-                fc = Tensor(_backend.active().zeros((m, hs)))
 
-            h_level, c_level = self._level_step(x_iou.take_rows(rows_in), h_tilde, fc)
-            h_levels.append(h_level)
-            c_levels.append(c_level)
-            level_of[nodes] = li
-            offset_of[nodes] = np.arange(m)
-            row_of[nodes] = np.arange(rows, rows + m)
-            rows += m
+def _pass_edges(levels: list, direction: str):
+    """Each level's ``(edge_child, edge_parent_pos)``. A downward level
+    reads one edge per node, from its parent; the roots read none."""
+    if direction == "up":
+        return [(child, pos) for _, child, pos in levels]
+    none = np.empty(0, dtype=np.int64)
+    return [(parents, np.arange(nodes.shape[0])) if li else (none, none)
+            for li, (nodes, parents) in enumerate(levels)]
 
-        return _cat_rows(h_levels), _cat_rows(c_levels), row_of
 
-    # ------------------------------------------------------------------
-    def _run_down(self, x_iou: Tensor, x_f: Tensor, ids: np.ndarray,
-                  levels: list):
-        # Same list-accumulate/concat-once scheme as _run_up. The down
-        # pass is simpler: every non-root node's single predecessor (its
-        # parent) was produced exactly one level earlier, so the child
-        # fetch is a plain take_rows from the previous level.
-        hs = self.hidden_size
-        n = ids.shape[0]
-        row_of = np.full(n, -1, dtype=np.int64)
-        offset_of = np.full(n, -1, dtype=np.int64)
-        h_levels: list[Tensor] = []
-        c_levels: list[Tensor] = []
-        rows = 0
+def _tree_pass(x_iou: Tensor, x_f: Tensor, u_iou: Tensor, u_f: Tensor,
+               levels: list, ids: np.ndarray,
+               direction: str) -> tuple[Tensor, np.ndarray]:
+    """Every level of one pass as a single autograd node.
 
-        for li, (nodes, parents) in enumerate(levels):
-            m = nodes.shape[0]
-            rows_in = ids[nodes]
-            if li > 0:
-                parent_rows = offset_of[parents]
-                h_par = h_levels[-1].take_rows(parent_rows)
-                c_par = c_levels[-1].take_rows(parent_rows)
-                h_tilde = h_par
-                f = Tensor.addmm(x_f.take_rows(rows_in), h_par, self.u_f,
-                                 activation="sigmoid")
-                fc = f * c_par
-            else:
-                # Root level (all trees' roots in a forest): zero state.
-                h_tilde = Tensor(_backend.active().zeros((m, hs)))
-                fc = Tensor(_backend.active().zeros((m, hs)))
+    ``x_iou`` / ``x_f`` hold the input projections ``W x + b``, one row
+    per row of the pass's input; item k reads row ``ids[k]``. The level
+    loop runs on raw arrays through the backend kernels and writes each
+    level's packed ``[h | c]`` rows into one level-major ``(K, 2h)``
+    block. Under ``no_grad`` nothing is kept for a backward.
 
-            h_level, c_level = self._level_step(x_iou.take_rows(rows_in), h_tilde, fc)
-            h_levels.append(h_level)
-            c_levels.append(c_level)
-            offset_of[nodes] = np.arange(m)
-            row_of[nodes] = np.arange(rows, rows + m)
-            rows += m
+    The backward walks the levels in reverse. A level's rows of the
+    block gradient are complete when it is reached (its readers sit on
+    later levels); it runs the cell and gate backwards, then scatters
+    the children's ``[h | c]`` gradient into the block gradient with one
+    ``scatter_add_rows``. ``x_iou`` and ``x_f`` then take one row
+    scatter each, and ``u_iou`` and ``u_f`` one GEMM each over all
+    levels.
+    """
+    kb = _backend.active()
+    hs = u_f.shape[0]
+    u_iou_w, u_f_w = u_iou.data, u_f.data
+    edges = _pass_edges(levels, direction)
+    bounds = np.cumsum([0] + [lvl[0].shape[0] for lvl in levels]).tolist()
+    edge_bounds = np.cumsum([0] + [c.shape[0] for c, _ in edges]).tolist()
+    order = np.concatenate([lvl[0] for lvl in levels])
+    k = order.shape[0]
+    row_of = np.full(ids.shape[0], -1, dtype=np.int64)
+    row_of[order] = np.arange(k)
+    # Every level's edges at once: the child's block row, and the
+    # parent's block row (level start + position in the level).
+    child_rows = row_of[np.concatenate([c for c, _ in edges])]
+    parent_rows = np.concatenate([pos for _, pos in edges]) + np.repeat(
+        bounds[:-1], np.diff(edge_bounds))
+    x_rows = ids[order]
+    f_rows = x_rows[parent_rows]
+    xi = kb.take_rows(x_iou.data, x_rows)        # (K, 3h)
+    xf = kb.take_rows(x_f.data, f_rows)          # (E, h)
 
-        return _cat_rows(h_levels), _cat_rows(c_levels), row_of
+    track = is_grad_enabled() and any(
+        t.requires_grad for t in (x_iou, x_f, u_iou, u_f))
+    block = np.empty((k, 2 * hs), dtype=xi.dtype)
+    saved = []
+    # h~ of every level, for u_iou's GEMM, which starts at the first
+    # level with edges (h~ is 0 on a level without)
+    h_tilde_all = kb.zeros((k, hs)) if track else None
+    tilde_lo = next((bounds[li] for li in range(len(levels))
+                     if edge_bounds[li + 1] > edge_bounds[li]), k)
+    for li in range(len(levels)):
+        lo, hi = bounds[li], bounds[li + 1]
+        e_lo, e_hi = edge_bounds[li], edge_bounds[li + 1]
+        f = kids = None
+        if e_hi > e_lo:
+            kids = kb.take_rows(block, child_rows[e_lo:e_hi])   # [h | c]
+            f = kb.gemm_gates(xf[e_lo:e_hi], kids[:, :hs], u_f_w,
+                              "sigmoid")
+            sums = kb.segment_sum_pair_gated(kids[:, :hs], f, kids[:, hs:],
+                                             edges[li][1], hi - lo)
+            h_tilde, fc = sums[:, :hs], sums[:, hs:]
+            if track:
+                h_tilde_all[lo:hi] = h_tilde
+        else:
+            h_tilde = fc = kb.zeros((hi - lo, hs))
+        iou = kb.gemm_gates(xi[lo:hi], h_tilde, u_iou_w, "iou")
+        block[lo:hi], th = kb.lstm_cell(iou, fc)
+        if track:
+            saved.append((iou, th, f, kids))
+
+    def backward(grad):
+        g = grad.copy()               # the children's terms add in here
+        g_iou = np.empty_like(xi)     # pre-activation gate gradients
+        g_f = np.empty_like(xf)
+        for li in reversed(range(len(levels))):
+            lo, hi = bounds[li], bounds[li + 1]
+            e_lo, e_hi = edge_bounds[li], edge_bounds[li + 1]
+            iou, th, f, kids = saved[li]
+            g_act, g_fc = kb.lstm_cell_backward(g[lo:hi], iou, th)
+            g_iou[lo:hi] = kb.act_backward(g_act, iou, "iou")
+            if e_hi == e_lo:
+                continue
+            pos = edges[li][1]
+            g_h_tilde = (g_iou[lo:hi] @ u_iou_w)[pos]
+            g_fc = g_fc[pos]
+            g_f[e_lo:e_hi] = kb.act_backward(g_fc * kids[:, hs:], f,
+                                             "sigmoid")
+            g_kids = np.empty_like(kids)
+            g_kids[:, :hs] = g_h_tilde + g_f[e_lo:e_hi] @ u_f_w
+            g_kids[:, hs:] = g_fc * f
+            kb.scatter_add_rows(g, child_rows[e_lo:e_hi], g_kids)
+        if x_iou.requires_grad:
+            x_iou._accumulate_at(x_rows, g_iou)
+        if x_f.requires_grad and f_rows.size:
+            x_f._accumulate_at(f_rows, g_f)
+        if u_iou.requires_grad:
+            u_iou._accumulate(g_iou[tilde_lo:].T @ h_tilde_all[tilde_lo:])
+        if u_f.requires_grad and f_rows.size:
+            kids = np.concatenate([s[3] for s in saved if s[3] is not None])
+            u_f._accumulate(g_f.T @ kids[:, :hs])
+
+    return Tensor._make(block, (x_iou, x_f, u_iou, u_f), backward), row_of
 
 
 class TreeLSTMStack(Module):

@@ -36,6 +36,8 @@ from repro.judge.values import (
 __all__ = ["Interpreter", "ExecutionResult"]
 
 _INT_BASES = NUMERIC_BASES - {"double", "float", "long double"}
+_CONTAINERS = (VectorVal, MapVal, SetVal, QueueVal, StackVal,
+               PriorityQueueVal)
 
 
 @dataclass
@@ -564,6 +566,13 @@ class Interpreter:
         right = self._eval(node.right)
         if op in ("==", "!=", "<", ">", "<=", ">="):
             self._charge(self.cost.compare)
+            if isinstance(left, _CONTAINERS) or isinstance(right, _CONTAINERS):
+                if op in ("==", "!="):
+                    equal = self._vectors_equal(left, right)
+                    return 1 if equal == (op == "==") else 0
+                order = self._vector_order(left, right)
+                return 1 if {"<": order < 0, ">": order > 0,
+                             "<=": order <= 0, ">=": order >= 0}[op] else 0
             if isinstance(left, PairVal) and isinstance(right, PairVal):
                 left = (left.first, left.second)
                 right = (right.first, right.second)
@@ -609,6 +618,46 @@ class Interpreter:
             return {"&": li & ri, "|": li | ri, "^": li ^ ri,
                     "<<": li << ri, ">>": li >> ri}[op]
         raise RuntimeFault(f"unsupported binary operator {op!r}")
+
+    @staticmethod
+    def _vector_items(left, right):
+        if not isinstance(left, VectorVal) or not isinstance(right, VectorVal):
+            raise RuntimeFault(f"cannot compare {type(left).__name__} "
+                               f"with {type(right).__name__}")
+        return left.items, right.items
+
+    @staticmethod
+    def _element_key(value):
+        return (value.first, value.second) if isinstance(value, PairVal) \
+            else value
+
+    def _vectors_equal(self, left, right) -> bool:
+        """std::vector ==: sizes first, then each element pair in order."""
+        a_items, b_items = self._vector_items(left, right)
+        if len(a_items) != len(b_items):
+            return False
+        for a, b in zip(a_items, b_items):
+            self._charge(self.cost.compare)
+            if isinstance(a, _CONTAINERS) or isinstance(b, _CONTAINERS):
+                if not self._vectors_equal(a, b):
+                    return False
+            elif self._element_key(a) != self._element_key(b):
+                return False
+        return True
+
+    def _vector_order(self, left, right) -> int:
+        """Lexicographic three-way comparison of two vectors."""
+        a_items, b_items = self._vector_items(left, right)
+        for a, b in zip(a_items, b_items):
+            self._charge(self.cost.compare)
+            if isinstance(a, _CONTAINERS) or isinstance(b, _CONTAINERS):
+                order = self._vector_order(a, b)
+            else:
+                a, b = self._element_key(a), self._element_key(b)
+                order = (a > b) - (a < b)
+            if order:
+                return order
+        return (len(a_items) > len(b_items)) - (len(a_items) < len(b_items))
 
     def _numeric(self, value):
         if isinstance(value, (int, float)):

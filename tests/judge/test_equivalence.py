@@ -540,7 +540,49 @@ FAULT_PROGRAMS = [
     "int main() { int a = 8; a >>= 64; }",
     "int main() { cout << 1; break; }",
     "void f() { continue; } int main() { f(); }",
+    "int main() { set<int> s, t; cout << (s == t); }",
+    "int main() { vector<int> v; cout << (v < 1); }",
+    "int main() { vector<vector<int>> g(1); cout << (g == 3); }",
+    "int main() { vector<set<int>> a(1), b(1); cout << (a != b); }",
 ]
+
+
+CONTAINER_COMPARISONS = {
+    "equal": """
+        int main() {
+            vector<int> a(3, 1), b(3, 1);
+            cout << (a == b) << (a != b) << (a < b) << (a <= b)
+                 << (a > b) << (a >= b);
+        }""",
+    "ordered": """
+        int main() {
+            int n; cin >> n;
+            vector<int> a, b;
+            for (int i = 0; i < n; i++) { a.push_back(i); b.push_back(i); }
+            b.push_back(0);
+            if (n > 2) b[2] = -1;
+            cout << (a == b) << (a < b) << (b < a) << (a >= b);
+            b.pop_back();
+            cout << (a == b) << (a != b) << (b <= a);
+        }""",
+    "nested_and_typed": """
+        int main() {
+            vector<vector<int>> g(3, vector<int>(2, 4)), h(3, vector<int>(2, 4));
+            h[2][1] = 5;
+            vector<double> x(2, 0.5), y(2, 0.25);
+            vector<char> c(2, 'a'), d(2, 'b');
+            vector<string> s(1, "ab"), t(1, "b");
+            vector<pair<int, int>> p(2), q(2);
+            q[1].second = 1;
+            cout << (g < h) << (g == h) << (x > y) << (c < d) << (s < t)
+                 << (p < q) << (p == q);
+        }""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINER_COMPARISONS))
+def test_container_comparisons(name):
+    assert_equivalent(CONTAINER_COMPARISONS[name], ["0", "2", "5"])
 
 
 @pytest.mark.parametrize("source", FAULT_PROGRAMS)

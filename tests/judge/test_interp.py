@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.judge import Interpreter, RuntimeFault, TimeLimitExceeded
+from repro.judge import CostModel, Interpreter, RuntimeFault, TimeLimitExceeded
 from repro.judge.errors import InputExhausted
 from repro.lang import parse
 
@@ -308,6 +308,63 @@ class TestContainers:
         out = run("int main() { vector<int> a; a.push_back(1); vector<int> b = a;"
                   "b.push_back(2); cout << a.size() << b.size(); }")
         assert out == "12"
+
+
+class TestContainerComparisons:
+    """Two vectors compare as std::vector does; any other comparison
+    with a container operand is a RuntimeFault."""
+
+    def test_equal_vectors(self):
+        out = run("int main() { vector<int> a(3, 1), b(3, 1); "
+                  "cout << (a == b) << (a != b) << (a < b) << (a <= b) "
+                  "<< (a > b) << (a >= b); }")
+        assert out == "100101"
+
+    def test_lexicographic_order(self):
+        out = run("int main() { vector<int> a, b; a.push_back(1); "
+                  "a.push_back(2); b.push_back(1); b.push_back(3); "
+                  "cout << (a < b) << (a > b) << (b >= a) << (a == b); }")
+        assert out == "1010"
+
+    def test_prefix_sorts_first(self):
+        out = run("int main() { vector<int> a(1, 1), b(2, 1); b[1] = 0; "
+                  "cout << (a < b) << (a == b) << (b > a); }")
+        assert out == "101"
+
+    def test_nested_vectors(self):
+        out = run("int main() { vector<vector<int>> g(2, vector<int>(2, 0)),"
+                  " h(2, vector<int>(2, 0)); h[1][1] = 1; "
+                  "cout << (g == h) << (g < h) << (h > g); }")
+        assert out == "011"
+
+    def test_charges_one_compare_per_element_pair_examined(self):
+        def cycles(fill_b, op):
+            source = ("int main() { vector<int> a(10, 1), b(10, %d); "
+                      "int r = (a %s b); }" % (fill_b, op))
+            return Interpreter(parse(source)).run("").cycles
+
+        compare = CostModel().compare
+        # equal: all 10 pairs examined; unequal at index 0: one pair
+        assert cycles(1, "==") - cycles(2, "==") == 9 * compare
+        assert cycles(1, "<") - cycles(2, "<") == 9 * compare
+        # sizes differ: == examines no pair, < the 3 of the shorter
+        def sized(op):
+            return Interpreter(parse(
+                "int main() { vector<int> a(10, 1), b(3, 1); "
+                "int r = (a %s b); }" % op)).run("").cycles
+
+        assert sized("<") - sized("==") == 3 * compare
+
+    @pytest.mark.parametrize("source", [
+        "int main() { set<int> s, t; cout << (s == t); }",
+        "int main() { vector<int> v; cout << (v == 1); }",
+        "int main() { vector<int> v; cout << (2 < v); }",
+        "int main() { map<int, int> m; cout << (m < m); }",
+        "int main() { vector<set<int>> a(1), b(1); cout << (a == b); }",
+    ])
+    def test_other_container_comparisons_fault(self, source):
+        with pytest.raises(RuntimeFault, match="cannot compare"):
+            run(source)
 
 
 class TestBuiltins:

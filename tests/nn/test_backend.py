@@ -13,7 +13,7 @@ import pytest
 from repro.nn import backend as nn_backend
 from repro.nn.backend import BufferPool, _sigmoid_stable
 from repro.nn.tensor import Tensor
-from repro.nn.treelstm import _segment_reduce, _segment_sum
+from repro.nn.treelstm import ChildSumTreeLSTM, TreeSchedule
 
 from ..helpers import (backend_tolerance, check_gradients,
                        check_gradients_fp64_ref)
@@ -187,8 +187,8 @@ class TestDtypePolicy:
 
 
 class TestIndexArraysStayIntegral:
-    """Satellite regression: the row indices driving take_rows /
-    gather_rows are never floated by Tensor coercion."""
+    """Satellite regression: the row indices driving take_rows are
+    never floated by Tensor coercion."""
 
     @pytest.mark.parametrize("name", ["numpy64", "numpy32"])
     def test_take_rows_roundtrip(self, name):
@@ -200,16 +200,13 @@ class TestIndexArraysStayIntegral:
             gathered.sum().backward()
             assert a.grad.dtype == a.data.dtype
 
-    @pytest.mark.parametrize("name", ["numpy64", "numpy32"])
-    def test_gather_rows_keeps_value_dtype(self, name):
-        with _backend_or_skip(name):
-            a = Tensor(rand((3, 2)))
-            b = Tensor(rand((4, 2), 1))
-            out = Tensor.gather_rows([a, b], np.array([0, 1], dtype=np.int32),
-                                     np.array([2, 3], dtype=np.int32))
-            assert out.data.dtype == a.data.dtype
-            np.testing.assert_allclose(
-                out.data, np.stack([a.data[2], b.data[3]]))
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_int32_rows_keep_value_dtype(self, name):
+        with _backend_or_skip(name) as b:
+            data = rand((4, 2)).astype(b.dtype)
+            out = b.take_rows(data, np.array([2, 3, 2], dtype=np.int32))
+            assert out.dtype == data.dtype
+            np.testing.assert_array_equal(out, data[[2, 3, 2]])
 
 
 def _segment_reference(data, segment_ids, num_segments):
@@ -281,19 +278,20 @@ class TestSegmentSum:
         out = b.segment_sum(data, np.array([0, 0, 1]), 3)
         assert out.dtype == np.float32      # follows the operand, not policy
 
-    def test_treelstm_helper_delegates(self):
-        # _segment_reduce is the tree-LSTM's door into the kernel; cover
-        # the unsorted + empty-segment case through it directly.
-        data = rand((4, 3), 5)
-        ids = np.array([2, 0, 2, 0])
-        np.testing.assert_allclose(_segment_reduce(data, ids, 4),
-                                   _segment_reference(data, ids, 4))
-
-    def test_treelstm_autograd_wrapper_gradcheck(self):
-        x = Tensor(rand((5, 2), 6), requires_grad=True)
-        ids = np.array([0, 2, 2, 0, 1])
-        check_gradients(
-            lambda: (_segment_sum(x, ids, 4) ** 2).sum(), [x])
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_pair_gated_matches_composed(self, name):
+        # The tree-LSTM's child sweep: h~ and sum(f*c) over one edge list.
+        a, f, c = rand((6, 3), 5), rand((6, 3), 6), rand((6, 3), 7)
+        ids = np.array([0, 0, 1, 3, 3, 3])      # segment 2 empty
+        with _backend_or_skip(name) as b:
+            gated = b.segment_sum_pair_gated(
+                *(v.astype(b.dtype) for v in (a, f, c)), ids, 4)
+        np.testing.assert_allclose(gated[:, :3],
+                                   _segment_reference(a, ids, 4),
+                                   atol=b.tolerance)
+        np.testing.assert_allclose(gated[:, 3:],
+                                   _segment_reference(f * c, ids, 4),
+                                   atol=b.tolerance)
 
 
 def _scatter(b, base, rows, values):
@@ -310,7 +308,8 @@ def _add_at(base, rows, values):
 
 class TestScatterAddRows:
     """``scatter_add_rows`` is the backward of every ``take_rows`` and
-    ``gather_rows``: unique rows must stay bitwise equal to
+    of the tree-LSTM pass's child reads: unique rows must stay bitwise
+    equal to
     ``np.add.at``, duplicate rows close to it and deterministic."""
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -357,7 +356,8 @@ class TestScatterAddRows:
             b = Tensor(rand((2, 3), 10), requires_grad=True)
             picked = a[np.array([-1, 0, -1])]
             taken = a.take_rows(np.array([-2]))
-            gathered = Tensor.gather_rows([a, b], [0, 1, 1], [-4, -1, 0])
+            gathered = Tensor.concat([a, b], axis=0).take_rows(
+                np.array([-6, -1, -2]))
             np.testing.assert_array_equal(taken.data, a.data[[-2]])
             np.testing.assert_array_equal(
                 gathered.data, np.stack([a.data[0], b.data[1], b.data[0]]))
@@ -537,13 +537,14 @@ class TestNumpy32Equivalence:
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, ref, atol=self._tol())
 
-    def test_segment_model_forward_within_tolerance(self):
-        x = rand((9, 4))
-        ids = np.array([0, 0, 1, 1, 1, 2, 3, 3, 3])
+    def test_tree_pass_forward_within_tolerance(self):
+        x = rand((6, 4))
+        sched = TreeSchedule([[1, 2], [3, 4], [], [5], [], []])
 
         def forward():
-            t = Tensor(x)
-            return _segment_sum(t.tanh(), ids, 4).sigmoid().data
+            cell = ChildSumTreeLSTM(4, 3, rng=np.random.default_rng(0))
+            h, c = cell(Tensor(x), sched)
+            return np.concatenate([h.data, c.data], axis=1)
 
         with nn_backend.use("numpy64"):
             ref = forward()
@@ -561,12 +562,17 @@ class TestNumpy32Equivalence:
         with nn_backend.use("numpy32"):
             check_gradients_fp64_ref(loss, arrays)
 
-    def test_gradcheck_segment_sum_fp32(self):
-        arrays = [rand((6, 3))]
-        ids = np.array([1, 0, 2, 2, 0, 1])
+    def test_gradcheck_tree_pass_fp32(self):
+        # The pass's hand-written backward, segment sums included.
+        sched = TreeSchedule([[1, 2, 3], [4], [], [], []])
+        arrays = [rand((5, 3)), rand((6, 2), 1), rand((2, 2), 2)]
 
         def loss(ts):
-            return (_segment_sum(ts[0].sigmoid(), ids, 3) ** 2).sum()
+            x, u_iou, u_f = ts
+            cell = ChildSumTreeLSTM(3, 2, rng=np.random.default_rng(0))
+            cell.u_iou, cell.u_f = u_iou, u_f
+            h, c = cell(x, sched)
+            return (h ** 2).sum() + (c ** 2).sum()
 
         with nn_backend.use("numpy32"):
             check_gradients_fp64_ref(loss, arrays)
@@ -575,7 +581,7 @@ class TestNumpy32Equivalence:
         arrays = [rand((5, 3)), rand((4, 3), 1)]
 
         def loss(ts):
-            out = Tensor.gather_rows(ts, [0, 1, 1, 0], [4, 0, 3, 4])
+            out = Tensor.concat(ts, axis=0).take_rows([4, 5, 8, 4])
             return (out ** 2).sum()
 
         with nn_backend.use("numpy32"):

@@ -160,6 +160,38 @@ class TestThreadDeterminism:
             threaded = backend.segment_sum(data, seg, 64)
         assert_array_equal(serial, threaded)
 
+    def test_whole_pass_bitwise_across_thread_counts(self, monkeypatch):
+        """A tree-LSTM up and down pass, forward and backward, on a
+        forest whose widest levels cross the parallel threshold: root
+        states and every gradient are bitwise equal under
+        REPRO_NUM_THREADS=1 and 4."""
+        from repro.nn import ForestSchedule, Tensor, TreeLSTMStack, \
+            TreeSchedule
+
+        star = [list(range(1, 31))] + [[] for _ in range(30)]
+        forest = ForestSchedule([TreeSchedule(star)] * 160)
+        assert forest.up_levels[0][0].size > cnative.PAR_ROW_THRESHOLD
+        assert forest.up_levels[1][1].size > cnative.PAR_ROW_THRESHOLD
+        rng = np.random.default_rng(5)
+        inputs = rng.normal(size=(forest.num_nodes, 4))
+        weights = rng.normal(size=(forest.num_trees, 8))
+
+        def run(threads):
+            monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+            with nn_backend.use("cnative"):
+                stack = TreeLSTMStack(4, 8, num_layers=2,
+                                      direction="alternating",
+                                      rng=np.random.default_rng(1))
+                x = Tensor(inputs, requires_grad=True)
+                z = stack.root_states(x, forest)
+                (z * Tensor(weights)).sum().backward()
+            return [z.data, x.grad, *(p.grad for p in stack.parameters())]
+
+        serial, threaded = run("1"), run("4")
+        assert len(serial) == len(threaded) == 2 + 12
+        for one, four in zip(serial, threaded):
+            assert one.tobytes() == four.tobytes()
+
 
 @needs_cnative
 class TestBackendContract:

@@ -27,7 +27,7 @@ class TestBasics:
     def test_integer_arrays_are_not_floated(self):
         # Index maps / masks keep their dtype and identity — the old
         # behaviour silently upcast them to float64, which copied every
-        # gather_rows index array.
+        # row index array.
         idx = np.array([0, 2, 1], dtype=np.int64)
         assert Tensor(idx).data is idx
         mask = np.array([True, False], dtype=np.bool_)
@@ -192,10 +192,14 @@ class TestReductionsAndShape:
         np.testing.assert_allclose(a.grad, expected)
 
 
-class TestGatherRows:
+class TestConcatTakeRows:
+    """Rows of several tensors read through ``Tensor.concat`` plus
+    ``take_rows``: how the tree-LSTM oracle reads children that live on
+    different levels."""
+
     def test_forward_multi_source(self):
         a, b = Tensor(rand((3, 2))), Tensor(rand((4, 2), 1))
-        out = Tensor.gather_rows([a, b], [0, 1, 1, 0], [2, 3, 0, 0])
+        out = Tensor.concat([a, b], axis=0).take_rows([2, 6, 3, 0])
         np.testing.assert_allclose(
             out.data, np.stack([a.data[2], b.data[3], b.data[0], a.data[0]]))
 
@@ -203,22 +207,22 @@ class TestGatherRows:
         a = Tensor(rand((3, 2)), requires_grad=True)
         b = Tensor(rand((4, 2), 1), requires_grad=True)
         check_gradients(
-            lambda: (Tensor.gather_rows([a, b], [0, 1, 1, 0, 0],
-                                        [2, 3, 0, 0, 2]) ** 2).sum(),
+            lambda: (Tensor.concat([a, b], axis=0).take_rows(
+                [2, 6, 3, 0, 2]) ** 2).sum(),
             [a, b])
 
-    def test_source_without_reads_gets_no_grad(self):
+    def test_unread_source_gets_zero_grad(self):
         a = Tensor(rand((3, 2)), requires_grad=True)
         b = Tensor(rand((3, 2), 1), requires_grad=True)
-        Tensor.gather_rows([a, b], [0, 0], [1, 2]).sum().backward()
-        assert a.grad is not None
-        assert b.grad is None
+        Tensor.concat([a, b], axis=0).take_rows([1, 2]).sum().backward()
+        np.testing.assert_array_equal(a.grad, [[0, 0], [1, 1], [1, 1]])
+        np.testing.assert_array_equal(b.grad, np.zeros((3, 2)))
 
-    def test_rejects_empty_and_bad_ids(self):
+    def test_rejects_empty_and_bad_rows(self):
         with pytest.raises(ValueError):
-            Tensor.gather_rows([], [0], [0])
-        with pytest.raises(ValueError):
-            Tensor.gather_rows([Tensor(np.zeros((2, 2)))], [1], [0])
+            Tensor.concat([], axis=0)
+        with pytest.raises(IndexError):
+            Tensor.concat([Tensor(np.zeros((2, 2)))], axis=0).take_rows([2])
 
 
 class TestCombinators:

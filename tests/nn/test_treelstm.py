@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (ChildSumTreeLSTM, Embedding, ForestSchedule, LSTM,
-                      Tensor, TreeLSTMStack, TreeSchedule, schedule_for)
+                      Tensor, TreeLSTMStack, TreeSchedule, no_grad,
+                      schedule_for)
 from repro.nn.treelstm import share_subtrees
 
 from ..helpers import backend_tolerance, check_gradients
+from .reference_treelstm import (LoopForestSchedule, loop_tree_levels,
+                                 reference_passes, reference_run)
+from .test_backend import ALL_BACKENDS, _backend_or_skip
 
 
 def chain_children(n):
@@ -336,6 +340,171 @@ def test_property_shared_subtrees_match_node_level_reference(
     sched, ids = forest
     assert_table_path_matches_reference(sched, ids, 3, direction, layers,
                                         np.random.default_rng(0))
+
+
+def assert_levels_equal(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for got_level, want_level in zip(got, want):
+        assert len(got_level) == len(want_level)
+        for a, b in zip(got_level, want_level):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def random_forests(draw):
+    """Children lists of 1-6 random trees (1-12 nodes each), some of
+    them repeated."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    distinct = [random_children(rng, draw(st.integers(1, 12)))
+                for _ in range(draw(st.integers(1, 3)))]
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=6))
+    return [distinct[p] for p in picks]
+
+
+class TestSortedLevels:
+    """Levels sorted from flat per-node arrays equal the levels the
+    loop oracles build, array for array."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(forest=random_forests())
+    def test_tree_levels_match_loop_oracle(self, forest):
+        for children in forest:
+            sched = TreeSchedule(children)
+            up, down = loop_tree_levels(children)
+            assert_levels_equal(sched.up_levels, up)
+            assert_levels_equal(sched.down_levels, down)
+
+    @settings(max_examples=40, deadline=None)
+    @given(forest=random_forests())
+    def test_forest_matches_loop_oracle(self, forest):
+        scheds = [schedule_for(children) for children in forest]
+        got, want = ForestSchedule(scheds), LoopForestSchedule(scheds)
+        assert_levels_equal(got.up_levels, want.up_levels)
+        assert_levels_equal(got.down_levels, want.down_levels)
+        for name in ("tree_offsets", "parent", "roots", "tree_roots"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        assert (got.num_nodes, got.num_trees) == \
+            (want.num_nodes, want.num_trees)
+
+    def test_multi_root_tree_schedule(self):
+        children = [[1], [], [3, 4], [], [5], []]
+        sched = TreeSchedule(children)
+        up, down = loop_tree_levels(children)
+        assert_levels_equal(sched.up_levels, up)
+        assert_levels_equal(sched.down_levels, down)
+
+
+def assert_pass_matches_oracle(sched, ids, vocab, direction, layers):
+    """Root states, per-node states and every gradient, the embedding's
+    included, of the one-node pass against the per-level oracle."""
+    emb = Embedding(vocab, 3, rng=np.random.default_rng(2))
+    stack = TreeLSTMStack(3, 4, num_layers=layers, direction=direction,
+                          rng=np.random.default_rng(3))
+    named = [("embedding", emb.weight), *stack.named_parameters()]
+
+    def run():
+        for _, p in named:
+            p.zero_grad()
+        z = stack.root_states(emb.weight, sched, ids)
+        h = stack(emb.weight, sched, ids)
+        weights = np.random.default_rng(4)
+        loss = (z * Tensor(weights.normal(size=z.shape))).sum() \
+            + (h * Tensor(weights.normal(size=h.shape))).sum()
+        loss.backward()
+        return z.data, h.data, [p.grad for _, p in named]
+
+    z_new, h_new, grads_new = run()
+    with reference_passes():
+        z_ref, h_ref, grads_ref = run()
+    tol = backend_tolerance(1e-8)
+    np.testing.assert_allclose(z_new, z_ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(h_new, h_ref, rtol=0, atol=tol)
+    for (name, _), got, want in zip(named, grads_new, grads_ref):
+        assert got is not None and want is not None, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol,
+                                   err_msg=name)
+
+
+class TestOnePassMatchesOracle:
+    """``ChildSumTreeLSTM.run`` is one autograd node per pass; the
+    per-level graph it replaced (``reference_treelstm.py``) is the
+    oracle, within ``backend_tolerance(1e-8)`` on every backend."""
+
+    VOCAB = 5
+
+    def _schedule(self, kind):
+        if kind == "tree":
+            return TreeSchedule([[1, 2], [3, 4], [], [5], [], []])
+        return ForestSchedule([TreeSchedule(c)
+                               for c in TestForestSchedule.TREES * 2])
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    @pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_stack_matches_oracle(self, backend, kind, direction, layers):
+        with _backend_or_skip(backend):
+            sched = self._schedule(kind)
+            ids = np.random.default_rng(layers).integers(
+                0, self.VOCAB, sched.num_nodes)
+            assert_pass_matches_oracle(sched, ids, self.VOCAB, direction,
+                                       layers)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_node_level_pass_matches_oracle(self, backend, direction):
+        with _backend_or_skip(backend):
+            sched = self._schedule("forest")
+            rng = np.random.default_rng(5)
+            cell = ChildSumTreeLSTM(3, 4, rng=rng)
+            x = Tensor(rng.normal(size=(sched.num_nodes, 3)),
+                       requires_grad=True)
+            levels = (sched.up_levels if direction == "up"
+                      else sched.down_levels)
+            ids = np.arange(sched.num_nodes)
+            params = [x, *cell.parameters()]
+            results = []
+            for run in (ChildSumTreeLSTM.run, reference_run):
+                for p in params:
+                    p.zero_grad()
+                h, c, row_of = run(cell, x, levels, ids, direction)
+                ((h ** 2).sum() + (c * 0.5).sum()).backward()
+                results.append((h.data, c.data, row_of,
+                                [p.grad for p in params]))
+            (h, c, rows, grads), (h_ref, c_ref, rows_ref, grads_ref) = results
+            tol = backend_tolerance(1e-8)
+            np.testing.assert_array_equal(rows, rows_ref)
+            np.testing.assert_allclose(h, h_ref, rtol=0, atol=tol)
+            np.testing.assert_allclose(c, c_ref, rtol=0, atol=tol)
+            for got, want in zip(grads, grads_ref):
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_one_graph_node_per_pass(self):
+        sched = self._schedule("forest")
+        cell = ChildSumTreeLSTM(3, 4)
+        x = Tensor(np.ones((sched.num_nodes, 3)))
+        h, c, _ = cell.run(x, sched.up_levels, np.arange(sched.num_nodes))
+        (block,) = h._parents
+        assert c._parents == (block,)
+        x_iou, x_f, u_iou, u_f = block._parents
+        assert (u_iou, u_f) == (cell.u_iou, cell.u_f)
+        assert x_iou._parents[1] is x and x_f._parents[1] is x
+        with no_grad():
+            h, _, _ = cell.run(x, sched.up_levels,
+                               np.arange(sched.num_nodes))
+        assert not h.requires_grad and h._parents == ()
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@settings(max_examples=8, deadline=None)
+@given(forest=shared_forests())
+def test_property_one_pass_matches_oracle(direction, layers, forest):
+    sched, ids = forest
+    assert_pass_matches_oracle(sched, ids, 3, direction, layers)
 
 
 class TestScheduleMemo:
