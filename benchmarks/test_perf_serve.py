@@ -87,12 +87,12 @@ def test_bench_serve_threaded_compare(benchmark):
     """The warm burst submitted from 4 client threads through the
     threaded batcher.
 
-    This is the row the cnative backend's GIL story shows up in: its
-    ctypes kernels release the GIL for the duration of every call, so
-    concurrent requests overlap real encode/classifier work instead of
-    time-slicing it. ``run_microbench --backends numpy64,cnative``
-    stamps this as ``...threaded_compare`` and
-    ``...threaded_compare[cnative]`` side by side.
+    The NumPy kernels hold the GIL between their BLAS calls, so the
+    client threads mostly time-slice the encode work; this row is the
+    threaded batcher's side of the A/B against the inline
+    ``warm_compare`` row. ``run_microbench --backends numpy64,numpy32``
+    stamps it as ``...threaded_compare`` and
+    ``...threaded_compare[numpy32]`` side by side.
     """
     from concurrent.futures import ThreadPoolExecutor
 

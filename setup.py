@@ -1,11 +1,6 @@
 """Setup shim: the offline environment lacks the ``wheel`` package, so
 ``pip install -e .`` cannot build an editable wheel (PEP 660). Run
 ``python setup.py develop`` instead.
-
-``package_data`` ships the cnative backend's C source
-(``repro/nn/cnative/kernels.c``) inside the package — the backend
-self-compiles it on first use, so an installed wheel must carry the
-source next to the loader.
 """
 
 from setuptools import find_packages, setup
@@ -14,6 +9,4 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.nn.cnative": ["*.c"]},
-    include_package_data=True,
 )

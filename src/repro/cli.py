@@ -109,10 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report on stdout")
 
-    backend_help = ("kernel backend: numpy64 (default), numpy32 "
-                    "(float32 end-to-end), cnative (self-compiled C "
-                    "kernels, if a C compiler is on hand); overrides "
-                    "REPRO_BACKEND")
+    backend_help = ("kernel backend: numpy64 (default) or numpy32 "
+                    "(float32 end-to-end); overrides REPRO_BACKEND")
 
     train = sub.add_parser("train", help="train a comparative model")
     train.add_argument("--backend", default=None, help=backend_help)
@@ -332,7 +330,7 @@ def _apply_backend(args) -> None:
 
     try:
         nn_backend.set_backend(name)
-    except (ValueError, nn_backend.BackendUnavailableError) as error:
+    except ValueError as error:
         raise SystemExit(f"--backend: {error}")
     os.environ["REPRO_BACKEND"] = name
 

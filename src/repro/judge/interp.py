@@ -271,10 +271,8 @@ def _numeric(value):
 
 
 def _comparable(left, right):
-    """Operands as C++ compares them: pairs member-wise, and a char
-    against a number by its character code (integral promotion)."""
-    if isinstance(left, PairVal) and isinstance(right, PairVal):
-        return (left.first, left.second), (right.first, right.second)
+    """Scalar operands as C++ compares them: a char against a number by
+    its character code (integral promotion)."""
     if isinstance(left, str) and len(left) == 1 \
             and isinstance(right, (int, float)):
         return ord(left), right
@@ -287,54 +285,83 @@ def _comparable(left, right):
 #: Container values; comparing one is defined only between two vectors.
 _CONTAINERS = frozenset({VectorVal, MapVal, SetVal, QueueVal, StackVal,
                          PriorityQueueVal})
+#: Operand types a comparison takes apart: pairs and containers.
+_COMPOSITES = _CONTAINERS | {PairVal}
 
 
-def _container_relation(st, op: str, left, right, cost: int) -> bool:
-    """``left op right`` with a container operand. Two vectors compare
-    as ``std::vector`` does: ``==``/``!=`` element-wise after a size
-    check, the orderings lexicographically. Each element pair examined
-    is charged ``cost``; any other container comparison faults."""
+def _composite_relation(st, op: str, left, right, cost: int) -> bool:
+    """``left op right`` with a pair or container operand. Two pairs
+    compare member-wise, two vectors as ``std::vector`` does:
+    ``==``/``!=`` element-wise after a size check, the orderings
+    lexicographically. Each vector element pair examined, at any depth,
+    is charged ``cost``; any other comparison of a pair or container
+    faults."""
     if op in ("==", "!="):
-        return _vectors_equal(st, left, right, cost) == (op == "==")
-    return _RELATIONS[op](_vector_order(st, left, right, cost), 0)
+        return _values_equal(st, left, right, cost) == (op == "==")
+    return _RELATIONS[op](_value_order(st, left, right, cost), 0)
+
+
+def _mismatch(left, right) -> RuntimeFault:
+    return RuntimeFault(f"cannot compare {type(left).__name__} "
+                        f"with {type(right).__name__}")
 
 
 def _vector_items(left, right) -> tuple[list, list]:
     if type(left) is not VectorVal or type(right) is not VectorVal:
-        raise RuntimeFault(f"cannot compare {type(left).__name__} "
-                           f"with {type(right).__name__}")
+        raise _mismatch(left, right)
     return left.items, right.items
 
 
-def _vectors_equal(st, left, right, cost: int) -> bool:
-    a_items, b_items = _vector_items(left, right)
-    if len(a_items) != len(b_items):
-        return False
-    for a, b in zip(a_items, b_items):
-        _charge(st, cost)
-        if type(a) in _CONTAINERS or type(b) in _CONTAINERS:
-            if not _vectors_equal(st, a, b, cost):
+def _values_equal(st, left, right, cost: int) -> bool:
+    if type(left) is PairVal or type(right) is PairVal:
+        if type(left) is not type(right):
+            raise _mismatch(left, right)
+        return (_values_equal(st, left.first, right.first, cost)
+                and _values_equal(st, left.second, right.second, cost))
+    if type(left) in _CONTAINERS or type(right) in _CONTAINERS:
+        a_items, b_items = _vector_items(left, right)
+        if len(a_items) != len(b_items):
+            return False
+        for a, b in zip(a_items, b_items):
+            _charge(st, cost)
+            if not _values_equal(st, a, b, cost):
                 return False
-        else:
-            a, b = _comparable(a, b)
-            if a != b:
-                return False
-    return True
+        return True
+    left, right = _comparable(left, right)
+    return left == right
 
 
-def _vector_order(st, left, right, cost: int) -> int:
+def _value_order(st, left, right, cost: int) -> int:
     """-1, 0 or 1 as ``left`` sorts before, with or after ``right``."""
-    a_items, b_items = _vector_items(left, right)
-    for a, b in zip(a_items, b_items):
-        _charge(st, cost)
-        if type(a) in _CONTAINERS or type(b) in _CONTAINERS:
-            order = _vector_order(st, a, b, cost)
-        else:
-            a, b = _comparable(a, b)
-            order = (a > b) - (a < b)
-        if order:
-            return order
-    return (len(a_items) > len(b_items)) - (len(a_items) < len(b_items))
+    if type(left) is PairVal or type(right) is PairVal:
+        if type(left) is not type(right):
+            raise _mismatch(left, right)
+        return (_value_order(st, left.first, right.first, cost)
+                or _value_order(st, left.second, right.second, cost))
+    if type(left) in _CONTAINERS or type(right) in _CONTAINERS:
+        a_items, b_items = _vector_items(left, right)
+        for a, b in zip(a_items, b_items):
+            _charge(st, cost)
+            order = _value_order(st, a, b, cost)
+            if order:
+                return order
+        return (len(a_items) > len(b_items)) - (len(a_items) < len(b_items))
+    left, right = _comparable(left, right)
+    return (left > right) - (left < right)
+
+
+def _sort_key(value):
+    """``sort``'s key for one element: a pair as a tuple and a vector as
+    a list of their members' keys, so rows order lexicographically as
+    ``std::vector`` does. ``sort`` charges a flat cost, so the key
+    charges nothing."""
+    if type(value) is PairVal:
+        return (_sort_key(value.first), _sort_key(value.second))
+    if type(value) is VectorVal:
+        return [_sort_key(item) for item in value.items]
+    if type(value) in _CONTAINERS:
+        raise _mismatch(value, value)
+    return value
 
 
 def _bitwise(op: str, left: int, right: int) -> int:
@@ -829,11 +856,11 @@ class _Runtime:
         _charge(st, self.cost.sort_cost(max(0, segment_len)))
         if first.reversed:
             # sort(v.rbegin(), v.rend()) -> descending order
-            items = sorted(container.items, key=_hashable, reverse=True)
+            items = sorted(container.items, key=_sort_key, reverse=True)
             container.items[:] = items
         else:
             container.items[lo:hi] = sorted(container.items[lo:hi],
-                                            key=_hashable)
+                                            key=_sort_key)
         return None
 
     def _reverse(self, st, args: list):
@@ -1571,8 +1598,8 @@ class _Compiler:
             if st.cycles > st.max_cycles:
                 raise TimeLimitExceeded(st.cycles)
             if type(a) is not int or type(b) is not int:
-                if type(a) in _CONTAINERS or type(b) in _CONTAINERS:
-                    return _container_relation(st, op, a, b, cost)
+                if type(a) in _COMPOSITES or type(b) in _COMPOSITES:
+                    return _composite_relation(st, op, a, b, cost)
                 a, b = _comparable(a, b)
             return relation(a, b)
         return compare

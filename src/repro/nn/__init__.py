@@ -6,7 +6,8 @@ package implements exactly what the paper's models run, with
 reverse-mode autodiff:
 
 * :mod:`repro.nn.tensor` — autograd engine
-* :mod:`repro.nn.backend` — the kernel backends the hot ops dispatch to
+* :mod:`repro.nn.backend` — the hot kernels and their dtype policy
+  (``numpy64`` / ``numpy32``)
 * :mod:`repro.nn.layers` — Linear / Embedding
 * :mod:`repro.nn.rnn` — sequential LSTM (paper eq. 3)
 * :mod:`repro.nn.treelstm` — child-sum tree-LSTM (paper eq. 4) and the

@@ -1,12 +1,13 @@
-"""Pluggable ops backend: dtype policy + the autograd core's hot kernels.
+"""Ops backend: the dtype policy + the autograd core's hot kernels.
 
 Every numerical hot spot of the reproduction funnels through a handful
 of named kernels — the per-level segment sums of the tree-LSTM, the
 ``take_rows`` / ``scatter_add_rows`` pair that moves states between
 levels, the gate GEMMs, and gradient-buffer allocation. This
-module gives those kernels a dispatch seam so a faster implementation
-(or a different float width) can be selected **without forking any
-model code**:
+module gives those kernels one home and runs them at the selected
+float width **without forking any model code**. There are two
+backends, one :class:`KernelBackend` each, that differ only in dtype
+and tolerance:
 
 * ``numpy64`` — the default and the float64 reference. It agrees with
   the historical inlined NumPy code to 1e-8, not bitwise: the row
@@ -19,17 +20,6 @@ model code**:
   moments, and checkpoints (which record their dtype). Equivalence to
   the float64 reference holds at the documented ``tolerance`` (see
   ``docs/backends.md``).
-* ``cnative`` — hand-written C kernels (``repro.nn.cnative``), compiled
-  on first use with the system C compiler into a source-hash-keyed
-  build cache and loaded via stdlib ``ctypes``. float64, accumulation
-  in ascending edge order ⇒ the 1e-8 suite applies unchanged, and the
-  deterministic column-partitioned reductions make results bitwise
-  identical for every ``REPRO_NUM_THREADS``. ctypes releases the GIL
-  per call, so serve-tier threads overlap encodes for real. With no
-  compiler (and no cached build) the backend is unavailable — selecting
-  it raises :class:`BackendUnavailableError`, and an
-  ``REPRO_BACKEND=cnative`` environment default falls back to
-  ``numpy64`` with a ``RuntimeWarning``.
 
 Selection: the ``REPRO_BACKEND`` environment variable at import, the
 ``--backend`` flag of ``repro train`` / ``repro serve``, or
@@ -39,6 +29,8 @@ programmatically::
     backend.set_backend("numpy32")          # process-wide
     with backend.use("numpy64"):            # scoped (tests)
         ...
+
+An unknown name is a ``ValueError``, at import for ``REPRO_BACKEND``.
 
 Backends also own a bounded **gradient-buffer pool**: the training
 engine returns parameter-gradient and freed intermediate-gradient
@@ -53,19 +45,13 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import warnings
 
 import numpy as np
 
 __all__ = [
-    "KernelBackend", "BufferPool", "BackendUnavailableError",
-    "register", "get", "active", "set_backend", "use",
-    "available_backends", "default_dtype", "describe",
+    "KernelBackend", "BufferPool", "get", "active", "set_backend", "use",
+    "default_dtype", "describe",
 ]
-
-
-class BackendUnavailableError(RuntimeError):
-    """The requested backend exists but cannot run here (missing dep)."""
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
@@ -150,18 +136,22 @@ class BufferPool:
 
 
 class KernelBackend:
-    """Base backend: pure-NumPy kernels, parameterized by ``dtype``.
+    """The NumPy kernels at one float width.
 
-    These NumPy kernels are the float64 reference. They keep the
+    These kernels at float64 are the reference. They keep the
     historical inlined code's formulas, and every kernel but the
     duplicate-row case of :meth:`scatter_add_rows` (which sums each
     row's values before adding them) reproduces it bitwise; ``numpy64``
     is therefore within 1e-8 of the historical code, and bitwise with
-    itself across a checkpoint resume. Subclasses override individual
-    kernels (``cnative``) or just the dtype policy (``numpy32``).
+    itself across a checkpoint resume. The kernels follow their
+    operands' dtype; only :meth:`asarray` and :meth:`zeros` apply the
+    policy.
 
     Attributes
     ----------
+    name:
+        The name ``get``, ``REPRO_BACKEND`` and ``--backend`` select it
+        by; checkpoints record it.
     dtype:
         The float width every :class:`~repro.nn.tensor.Tensor` carrying
         real-valued data is coerced to. Integer/bool arrays (index maps,
@@ -172,11 +162,10 @@ class KernelBackend:
         equivalence test-suite is parametrized on it.
     """
 
-    name = "numpy64"
-    dtype = np.float64
-    tolerance = 1e-8
-
-    def __init__(self):
+    def __init__(self, name: str, dtype, tolerance: float):
+        self.name = name
+        self.dtype = dtype
+        self.tolerance = tolerance
         self.pool = BufferPool()
 
     # ------------------------------------------------------------------
@@ -307,10 +296,9 @@ class KernelBackend:
         ``activation`` fuses the gate nonlinearity into the kernel
         (``"sigmoid"``, ``"tanh"``, or ``"iou"`` — sigmoid on the first
         two thirds of the columns, tanh on the last third, matching the
-        tree-LSTM's packed i|o|u gate block; compiled backends apply it
-        in the same pass as the GEMM). The NumPy implementation applies
-        the exact formulations ``Tensor.sigmoid``/``tanh`` use, so
-        fusing is bitwise-neutral on float64.
+        tree-LSTM's packed i|o|u gate block). It applies the exact
+        formulations ``Tensor.sigmoid``/``tanh`` use, so fusing is
+        bitwise-neutral on float64.
         """
         out = base + mat @ weight.T
         if activation is None:
@@ -336,10 +324,9 @@ class KernelBackend:
         the derivative into ``grad``, given the *post*-activation
         values ``out``.
 
-        The NumPy formulation uses the exact expressions the unfused
+        It uses the exact expressions the unfused
         ``Tensor.sigmoid``/``tanh`` backwards use, so fusing stays
-        bitwise-neutral on float64; compiled backends do the same math
-        in one pass instead of several elementwise temporaries.
+        bitwise-neutral on float64.
         """
         if activation == "sigmoid":
             return grad * out * (1.0 - out)
@@ -410,218 +397,37 @@ class KernelBackend:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @classmethod
-    def available(cls) -> bool:
-        return True
-
     def describe(self) -> dict:
         return {"name": self.name, "dtype": np.dtype(self.dtype).name,
                 "tolerance": self.tolerance}
 
 
-class Numpy64Backend(KernelBackend):
-    """The default and the float64 reference: within 1e-8 of the
-    pre-backend inlined code, bitwise with itself across a resume."""
-
-
-class Numpy32Backend(KernelBackend):
-    """float32 end-to-end: half the memory traffic, wider SIMD/BLAS.
-
-    Agreement with the float64 reference is documented at
-    ``tolerance`` (absolute, on forward activations and gradients of
-    the shipped model sizes); resume stays bitwise-identical *within*
-    the backend.
-    """
-
-    name = "numpy32"
-    dtype = np.float32
-    tolerance = 3e-4
-
-
-def _rows_in_range(rows: np.ndarray, n) -> bool:
-    """Whether ``rows`` is non-empty and each row inside ``[0, n)``
-    (``n`` one row count, or one per row): the C row loops index without
-    a check, so negative rows (which numpy counts from the end) and
-    out-of-range ones (which numpy rejects) take the NumPy path."""
-    return rows.size > 0 and rows.min() >= 0 and bool((rows < n).all())
-
-
-class CNativeBackend(Numpy64Backend):
-    """Self-compiled C kernels loaded via ctypes (float64).
-
-    The C implementations (see ``repro.nn.cnative``) accumulate in
-    ascending edge order, so the 1e-8 equivalence bar applies
-    unchanged; the parallel reductions partition by output column,
-    which makes results bitwise identical for every thread count
-    (``REPRO_NUM_THREADS``). The compile happens lazily on the first
-    kernel call — registration and ``available()`` only probe for a
-    compiler / cached object. ctypes releases the GIL for the duration
-    of each call, so threaded servers overlap encode work for real.
-
-    Dispatch guards: 2-D float64 operands take the C path, everything
-    else (odd ranks, float32 operands passed directly, empty index
-    lists, row indices outside ``[0, rows)`` for the row take and
-    scatter) falls back to the NumPy implementations. Plain GEMMs
-    (``activation=None``) always go to BLAS — it wins at every size we
-    measured. GEMMs *with* a fused activation run the compiled loop,
-    which folds the nonlinearity into the same pass over the output
-    and beats BLAS-plus-separate-activation across the gate sizes this
-    codebase emits; above :attr:`gemm_native_max_flops` multiply-adds
-    they fall back to BLAS anyway as a guard rail.
-    """
-
-    name = "cnative"
-    tolerance = 1e-8
-    #: m*n*k ceiling for the compiled fused-activation GEMM; larger
-    #: goes to BLAS + NumPy activation
-    gemm_native_max_flops = 1 << 23
-    #: mirrors ``cnative.ACTIVATION_CODES`` (asserted equal in tests);
-    #: kept local so the hot path skips a per-call module import
-    _act_codes = {None: 0, "sigmoid": 1, "tanh": 2, "iou": 3}
-
-    _native = None                     # process-wide loaded library
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            from . import cnative
-        except Exception:
-            return False
-        return cnative.available()
-
-    def _lib(self):
-        if CNativeBackend._native is None:
-            from . import cnative
-            CNativeBackend._native = cnative.load()
-        return CNativeBackend._native
-
-    def segment_sum(self, data, segment_ids, num_segments):
-        if data.ndim != 2 or data.dtype != np.float64 \
-                or segment_ids.size == 0:
-            return super().segment_sum(data, segment_ids, num_segments)
-        return self._lib().segment_sum(data, segment_ids, num_segments)
-
-    def segment_sum_pair(self, a, b, segment_ids, num_segments):
-        if a.ndim != 2 or a.dtype != np.float64 or b.dtype != np.float64 \
-                or a.shape != b.shape or segment_ids.size == 0:
-            return super().segment_sum_pair(a, b, segment_ids,
-                                            num_segments)
-        return self._lib().segment_sum_pair(a, b, segment_ids,
-                                            num_segments)
-
-    def segment_sum_pair_gated(self, a, f, c, segment_ids, num_segments):
-        if a.ndim != 2 or a.dtype != np.float64 or f.dtype != np.float64 \
-                or c.dtype != np.float64 or f.shape != c.shape \
-                or a.shape != f.shape or segment_ids.size == 0:
-            return super().segment_sum_pair_gated(a, f, c, segment_ids,
-                                                  num_segments)
-        return self._lib().segment_sum_pair_gated(a, f, c, segment_ids,
-                                                  num_segments)
-
-    def take_rows(self, data, rows):
-        if data.ndim != 2 or rows.ndim != 1 or data.dtype != np.float64 \
-                or not data.flags.c_contiguous \
-                or not _rows_in_range(rows, data.shape[0]):
-            return super().take_rows(data, rows)
-        return self._lib().take_rows(data, rows)
-
-    def scatter_add_rows(self, out, rows, values):
-        if out.ndim != 2 or values.ndim != 2 \
-                or out.dtype != np.float64 or values.dtype != np.float64 \
-                or not out.flags.c_contiguous \
-                or not _rows_in_range(rows, out.shape[0]):
-            super().scatter_add_rows(out, rows, values)
-            return
-        self._lib().scatter_add_rows(out, rows, values)
-
-    def gemm_gates(self, base, mat, weight, activation=None):
-        try:
-            act = self._act_codes[activation]
-        except KeyError:
-            raise ValueError(
-                f"unknown gemm_gates activation {activation!r}") from None
-        if (activation is None         # plain GEMM: BLAS wins at any size
-                or mat.ndim != 2 or weight.ndim != 2
-                or mat.dtype != np.float64 or weight.dtype != np.float64
-                or base.dtype != np.float64
-                or mat.shape[1] != weight.shape[1]):
-            return super().gemm_gates(base, mat, weight, activation)
-        m, k = mat.shape
-        n = weight.shape[0]
-        if activation == "iou" and n % 3:
-            return super().gemm_gates(base, mat, weight, activation)
-        if base.ndim == 1 and base.shape[0] == n:
-            base_mode = 0
-        elif base.ndim == 2 and base.shape == (m, n):
-            base_mode = 1
-        else:
-            return super().gemm_gates(base, mat, weight, activation)
-        if m * n * k > self.gemm_native_max_flops:
-            return super().gemm_gates(base, mat, weight, activation)
-        return self._lib().gemm_gates(base, base_mode, mat, weight, act)
-
-    def act_backward(self, grad, out, activation):
-        act = self._act_codes.get(activation)
-        if (not act or grad.ndim != 2
-                or grad.dtype != np.float64 or out.dtype != np.float64
-                or grad.shape != out.shape
-                or (activation == "iou" and grad.shape[1] % 3)):
-            return super().act_backward(grad, out, activation)
-        two = 2 * (grad.shape[1] // 3) if activation == "iou" else 0
-        return self._lib().act_backward(grad, out, two, act)
-
-    def lstm_cell(self, iou, fc):
-        if (iou.ndim != 2 or fc.ndim != 2
-                or iou.dtype != np.float64 or fc.dtype != np.float64
-                or iou.shape != (fc.shape[0], 3 * fc.shape[1])):
-            return super().lstm_cell(iou, fc)
-        return self._lib().lstm_cell(iou, fc)
-
-    def lstm_cell_backward(self, grad, iou, th):
-        if (grad.ndim != 2 or iou.ndim != 2 or th.ndim != 2
-                or grad.dtype != np.float64 or iou.dtype != np.float64
-                or th.dtype != np.float64
-                or grad.shape != (th.shape[0], 2 * th.shape[1])
-                or iou.shape != (th.shape[0], 3 * th.shape[1])):
-            return super().lstm_cell_backward(grad, iou, th)
-        return self._lib().lstm_cell_backward(grad, iou, th)
-
-
 # ----------------------------------------------------------------------
-# registry + selection
+# the two backends + selection
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, KernelBackend] = {}
-_LOCK = threading.Lock()
+_BACKENDS: dict[str, KernelBackend] = {
+    # The default and the float64 reference: within 1e-8 of the
+    # pre-backend inlined code, bitwise with itself across a resume.
+    "numpy64": KernelBackend("numpy64", np.float64, 1e-8),
+    # float32 end-to-end: half the memory traffic, wider SIMD/BLAS.
+    # Agreement with the float64 reference holds at its tolerance
+    # (absolute, on forward activations and gradients of the shipped
+    # model sizes); resume stays bitwise *within* the backend.
+    "numpy32": KernelBackend("numpy32", np.float32, 3e-4),
+}
 
-
-def register(backend: KernelBackend) -> KernelBackend:
-    """Add (or replace) a backend instance in the registry."""
-    with _LOCK:
-        _REGISTRY[backend.name] = backend
-    return backend
-
-
-register(Numpy64Backend())
-register(Numpy32Backend())
-register(CNativeBackend())
-
-_ACTIVE: KernelBackend = _REGISTRY["numpy64"]
+_ACTIVE: KernelBackend = _BACKENDS["numpy64"]
 
 
 def get(name: str) -> KernelBackend:
-    """The registered backend called ``name``; raises on unknown or
-    (for optional backends) unavailable names."""
+    """The backend called ``name``; raises ``ValueError`` on an unknown
+    name."""
     try:
-        backend = _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown backend {name!r} (registered: "
-            f"{sorted(_REGISTRY)})") from None
-    if not backend.available():
-        raise BackendUnavailableError(
-            f"backend {name!r} is registered but unavailable here "
-            "(is its dependency installed?)")
-    return backend
+            f"{sorted(_BACKENDS)})") from None
 
 
 def active() -> KernelBackend:
@@ -630,7 +436,7 @@ def active() -> KernelBackend:
 
 
 def set_backend(name: str) -> KernelBackend:
-    """Select the process-wide backend (validates availability)."""
+    """Select the process-wide backend."""
     global _ACTIVE
     _ACTIVE = get(name)
     return _ACTIVE
@@ -652,11 +458,6 @@ def use(name: str):
         _ACTIVE = previous
 
 
-def available_backends() -> list[str]:
-    """Names of the backends that can actually run here."""
-    return sorted(n for n, b in _REGISTRY.items() if b.available())
-
-
 def default_dtype():
     """The active backend's float dtype (the Tensor coercion target)."""
     return _ACTIVE.dtype
@@ -669,17 +470,10 @@ def describe() -> dict:
 
 def _init_from_env() -> None:
     name = os.environ.get("REPRO_BACKEND", "").strip()
-    if not name or name == "numpy64":
+    if not name:
         return
     try:
         set_backend(name)
-    except BackendUnavailableError:
-        # cnative without a C compiler (or a cached build): run on the
-        # default rather than refusing to import, so one shared config
-        # still starts on a compiler-less host.
-        warnings.warn(f"REPRO_BACKEND={name} is unavailable here; "
-                      "falling back to numpy64", RuntimeWarning,
-                      stacklevel=2)
     except ValueError as error:
         raise ValueError(f"REPRO_BACKEND: {error}") from None
 

@@ -163,8 +163,7 @@ class Tensor:
             self.grad = _backend.active().grad_buffer(self.data.shape,
                                                       self.data.dtype)
         if isinstance(key, np.ndarray) and key.dtype.kind in "iu" and key.ndim == 1:
-            # Row scatter-add — the hot path of take_rows;
-            # dispatched so compiled backends can own it.
+            # Row scatter-add — the hot path of take_rows.
             _backend.active().scatter_add_rows(self.grad, key, grad)
             return
         keys = key if isinstance(key, tuple) else (key,)
@@ -420,12 +419,11 @@ class Tensor:
 
         ``activation`` (``"sigmoid"`` / ``"tanh"`` / ``"iou"``) fuses
         the gate nonlinearity into the same node: the backend kernel
-        applies it in the GEMM epilogue (compiled backends in the same
-        pass over the output) and the backward folds the activation
-        derivative into the incoming gradient before the GEMM backward
-        — the same formulas ``Tensor.sigmoid``/``tanh`` use, so
-        float64 results and gradients stay bitwise-identical to the
-        unfused graph. ``"iou"`` is the tree-LSTM's packed gate block:
+        applies it in the GEMM epilogue and the backward folds the
+        activation derivative into the incoming gradient before the
+        GEMM backward — the same formulas ``Tensor.sigmoid``/``tanh``
+        use, so float64 results and gradients stay bitwise-identical to
+        the unfused graph. ``"iou"`` is the tree-LSTM's packed gate block:
         sigmoid on the first two thirds of the columns, tanh on the
         last third (column count must be divisible by 3).
 

@@ -4,7 +4,7 @@ Publishes the engine's run as scrape-able families: epoch and step
 counters, the last epoch's mean loss, the last step's grad norm, the
 last validation accuracy (when present), buffer-pool occupancy from the
 active kernel backend, and a step-latency histogram — all labelled with
-the backend name and dtype so a numpy64 run and a cnative run produce
+the backend name and dtype so a numpy64 run and a numpy32 run produce
 distinguishable series. The per-epoch and per-step series themselves
 live once, in the engine's ``TrainHistory``.
 

@@ -2,6 +2,8 @@
 repeatable bit for bit, resume stays bitwise *within* each backend, and
 checkpoints refuse a silent cross-dtype load."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,28 @@ from repro.serve.checkpoint import (CheckpointDtypeError,
                                     load_training_checkpoint,
                                     read_checkpoint_meta)
 
-BACKENDS = ["numpy64", "numpy32", "cnative"]
+BACKENDS = ["numpy64", "numpy32"]
 
 
-def _backend_or_skip(name: str):
-    if name not in nn_backend.available_backends():
-        pytest.skip(f"backend {name!r} unavailable (dependency missing)")
-    return nn_backend.use(name)
+def _drop_dtype_fields(meta: dict) -> None:
+    meta.pop("dtype")
+    meta.pop("backend")
+
+
+def _stamp_cnative(meta: dict) -> None:
+    meta["backend"] = "cnative"
+
+
+def _rewrite_meta(path, out, rewrite):
+    """Copy the checkpoint at ``path`` to ``out`` with ``rewrite``
+    applied to its JSON metadata in place."""
+    data = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(data["__meta__"].tobytes().decode("utf-8"))
+    rewrite(meta)
+    data["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                     dtype=np.uint8)
+    np.savez(out, **data)
+    return out
 
 
 def _model(kind="gcn", seed=2):
@@ -49,7 +66,7 @@ class TestFusedStep:
 class TestResumePerBackend:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_resume_is_bitwise_within_backend(self, name, corpus_c, tmp_path):
-        with _backend_or_skip(name):
+        with nn_backend.use(name):
             pairs = sample_pairs(corpus_c, 10, np.random.default_rng(4))
 
             straight = Engine(_model(seed=3),
@@ -127,23 +144,32 @@ class TestCheckpointDtype:
             assert all(v.dtype == np.float32
                        for v in loaded.state_dict().values())
 
-    def test_pre_backend_checkpoints_default_to_float64(self, corpus_c,
+    @pytest.mark.parametrize("rewrite", [_drop_dtype_fields,
+                                         _stamp_cnative],
+                             ids=["pre-backend", "cnative"])
+    def test_pre_backend_checkpoints_default_to_float64(self, rewrite,
+                                                        corpus_c,
                                                         tmp_path):
-        # A checkpoint written before the dtype field existed loads
-        # unchanged on the default backend.
+        # A checkpoint written before the dtype field existed, or one the
+        # deleted float64 ``cnative`` backend stamped, loads unchanged on
+        # the default backend without a cast: loaders compare the dtype
+        # only, never the backend name. Both checkpoint kinds are covered.
         with nn_backend.use("numpy64"):
-            path = save_checkpoint(_model(), tmp_path / "legacy.npz")
-        import json
+            model = _model()
+            plain = save_checkpoint(model, tmp_path / "plain.npz")
+            pairs = sample_pairs(corpus_c, 8, np.random.default_rng(6))
+            engine = Engine(_model(), TrainConfig(epochs=1, batch_size=4))
+            engine.fit(pairs)
+            training = engine.save_checkpoint(tmp_path / "train.npz")
 
-        data = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(data["__meta__"].tobytes().decode("utf-8"))
-        meta.pop("dtype")
-        meta.pop("backend")
-        data["__meta__"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        legacy = tmp_path / "legacy_stripped.npz"
-        np.savez(legacy, **data)
-        with nn_backend.use("numpy64"):
-            loaded = load_checkpoint(legacy)
-        assert all(v.dtype == np.float64
-                   for v in loaded.state_dict().values())
+            loaded = load_checkpoint(
+                _rewrite_meta(plain, tmp_path / "plain_rw.npz", rewrite))
+            resumed = Engine.from_checkpoint(
+                _rewrite_meta(training, tmp_path / "train_rw.npz", rewrite))
+        for original, restored in ((model, loaded),
+                                   (engine.model, resumed.model)):
+            for key, value in original.state_dict().items():
+                stored = restored.state_dict()[key]
+                assert stored.dtype == np.float64, key
+                np.testing.assert_array_equal(stored, value)
+        assert resumed.state.epoch == engine.state.epoch

@@ -38,6 +38,7 @@ __all__ = ["Interpreter", "ExecutionResult"]
 _INT_BASES = NUMERIC_BASES - {"double", "float", "long double"}
 _CONTAINERS = (VectorVal, MapVal, SetVal, QueueVal, StackVal,
                PriorityQueueVal)
+_COMPOSITES = _CONTAINERS + (PairVal,)
 
 
 @dataclass
@@ -566,16 +567,13 @@ class Interpreter:
         right = self._eval(node.right)
         if op in ("==", "!=", "<", ">", "<=", ">="):
             self._charge(self.cost.compare)
-            if isinstance(left, _CONTAINERS) or isinstance(right, _CONTAINERS):
+            if isinstance(left, _COMPOSITES) or isinstance(right, _COMPOSITES):
                 if op in ("==", "!="):
-                    equal = self._vectors_equal(left, right)
+                    equal = self._values_equal(left, right)
                     return 1 if equal == (op == "==") else 0
-                order = self._vector_order(left, right)
+                order = self._value_order(left, right)
                 return 1 if {"<": order < 0, ">": order > 0,
                              "<=": order <= 0, ">=": order >= 0}[op] else 0
-            if isinstance(left, PairVal) and isinstance(right, PairVal):
-                left = (left.first, left.second)
-                right = (right.first, right.second)
             result = {
                 "==": left == right, "!=": left != right,
                 "<": left < right, ">": left > right,
@@ -620,44 +618,58 @@ class Interpreter:
         raise RuntimeFault(f"unsupported binary operator {op!r}")
 
     @staticmethod
-    def _vector_items(left, right):
+    def _mismatch(left, right):
+        return RuntimeFault(f"cannot compare {type(left).__name__} "
+                            f"with {type(right).__name__}")
+
+    @classmethod
+    def _vector_items(cls, left, right):
         if not isinstance(left, VectorVal) or not isinstance(right, VectorVal):
-            raise RuntimeFault(f"cannot compare {type(left).__name__} "
-                               f"with {type(right).__name__}")
+            raise cls._mismatch(left, right)
         return left.items, right.items
 
-    @staticmethod
-    def _element_key(value):
-        return (value.first, value.second) if isinstance(value, PairVal) \
-            else value
+    @classmethod
+    def _pair_members(cls, left, right):
+        if not isinstance(left, PairVal) or not isinstance(right, PairVal):
+            raise cls._mismatch(left, right)
+        return [(left.first, right.first), (left.second, right.second)]
 
-    def _vectors_equal(self, left, right) -> bool:
-        """std::vector ==: sizes first, then each element pair in order."""
-        a_items, b_items = self._vector_items(left, right)
-        if len(a_items) != len(b_items):
-            return False
-        for a, b in zip(a_items, b_items):
-            self._charge(self.cost.compare)
-            if isinstance(a, _CONTAINERS) or isinstance(b, _CONTAINERS):
-                if not self._vectors_equal(a, b):
-                    return False
-            elif self._element_key(a) != self._element_key(b):
+    def _values_equal(self, left, right) -> bool:
+        """C++ ==: pairs member by member; vectors by size, then each
+        element pair in order; anything else directly."""
+        if isinstance(left, PairVal) or isinstance(right, PairVal):
+            return all(self._values_equal(a, b)
+                       for a, b in self._pair_members(left, right))
+        if isinstance(left, _CONTAINERS) or isinstance(right, _CONTAINERS):
+            a_items, b_items = self._vector_items(left, right)
+            if len(a_items) != len(b_items):
                 return False
-        return True
+            for a, b in zip(a_items, b_items):
+                self._charge(self.cost.compare)
+                if not self._values_equal(a, b):
+                    return False
+            return True
+        return left == right
 
-    def _vector_order(self, left, right) -> int:
-        """Lexicographic three-way comparison of two vectors."""
-        a_items, b_items = self._vector_items(left, right)
-        for a, b in zip(a_items, b_items):
-            self._charge(self.cost.compare)
-            if isinstance(a, _CONTAINERS) or isinstance(b, _CONTAINERS):
-                order = self._vector_order(a, b)
-            else:
-                a, b = self._element_key(a), self._element_key(b)
-                order = (a > b) - (a < b)
-            if order:
-                return order
-        return (len(a_items) > len(b_items)) - (len(a_items) < len(b_items))
+    def _value_order(self, left, right) -> int:
+        """Three-way comparison: pairs member by member, vectors
+        lexicographically, anything else directly."""
+        if isinstance(left, PairVal) or isinstance(right, PairVal):
+            for a, b in self._pair_members(left, right):
+                order = self._value_order(a, b)
+                if order:
+                    return order
+            return 0
+        if isinstance(left, _CONTAINERS) or isinstance(right, _CONTAINERS):
+            a_items, b_items = self._vector_items(left, right)
+            for a, b in zip(a_items, b_items):
+                self._charge(self.cost.compare)
+                order = self._value_order(a, b)
+                if order:
+                    return order
+            a_len, b_len = len(a_items), len(b_items)
+            return (a_len > b_len) - (a_len < b_len)
+        return (left > right) - (left < right)
 
     def _numeric(self, value):
         if isinstance(value, (int, float)):
@@ -1060,8 +1072,14 @@ class Interpreter:
         raise RuntimeFault(f"unknown function {name!r}")
 
     def _sort_key(self, value):
+        """Rows sort lexicographically, as std::vector orders them; the
+        flat sort cost covers every comparison."""
         if isinstance(value, PairVal):
-            return (value.first, value.second)
+            return (self._sort_key(value.first), self._sort_key(value.second))
+        if isinstance(value, VectorVal):
+            return [self._sort_key(item) for item in value.items]
+        if isinstance(value, _CONTAINERS):
+            raise self._mismatch(value, value)
         return value
 
     def _builtin_sort(self, args: list):

@@ -544,6 +544,9 @@ FAULT_PROGRAMS = [
     "int main() { vector<int> v; cout << (v < 1); }",
     "int main() { vector<vector<int>> g(1); cout << (g == 3); }",
     "int main() { vector<set<int>> a(1), b(1); cout << (a != b); }",
+    "int main() { pair<int, int> p; cout << (p < 2); }",
+    "int main() { pair<int, map<int, int>> p, q; cout << (p == q); }",
+    "int main() { vector<set<int>> a(2); sort(a.begin(), a.end()); }",
 ]
 
 
@@ -576,6 +579,36 @@ CONTAINER_COMPARISONS = {
             q[1].second = 1;
             cout << (g < h) << (g == h) << (x > y) << (c < d) << (s < t)
                  << (p < q) << (p == q);
+        }""",
+    "pairs_with_vectors": """
+        int main() {
+            int n; cin >> n;
+            pair<int, vector<int>> a, b;
+            cout << (a < b) << (a == b) << (a != b) << (a >= b);
+            for (int i = 0; i < n; i++) { a.second.push_back(i); b.second.push_back(i); }
+            cout << (a == b) << (a < b);
+            b.second.push_back(0);
+            cout << (a < b) << (a == b) << (b > a);
+            vector<pair<int, vector<int>>> v(2, b), w(2, a);
+            cout << (v == w) << (w < v);
+        }""",
+    "sorted_rows": """
+        int main() {
+            int n; cin >> n;
+            vector<vector<int>> g(n + 1);
+            for (int i = 0; i <= n; i++)
+                for (int j = 0; j < (i * 7) % 4; j++) g[i].push_back((i + j * 3) % 5);
+            sort(g.begin(), g.end());
+            for (int i = 0; i <= n; i++) {
+                cout << g[i].size();
+                for (int j = 0; j < g[i].size(); j++) cout << g[i][j];
+            }
+            sort(g.rbegin(), g.rend());
+            cout << g[0].size() << g[n].size();
+            vector<pair<vector<int>, int>> p(n + 1);
+            for (int i = 0; i <= n; i++) { p[i].first = g[i]; p[i].second = -i; }
+            sort(p.begin(), p.end());
+            cout << p[0].second << p[n].second;
         }""",
 }
 

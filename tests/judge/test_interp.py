@@ -311,8 +311,9 @@ class TestContainers:
 
 
 class TestContainerComparisons:
-    """Two vectors compare as std::vector does; any other comparison
-    with a container operand is a RuntimeFault."""
+    """Two vectors compare as std::vector does and two pairs member-wise,
+    vector members included; any other comparison with a pair or
+    container operand is a RuntimeFault."""
 
     def test_equal_vectors(self):
         out = run("int main() { vector<int> a(3, 1), b(3, 1); "
@@ -338,15 +339,22 @@ class TestContainerComparisons:
         assert out == "011"
 
     def test_charges_one_compare_per_element_pair_examined(self):
-        def cycles(fill_b, op):
-            source = ("int main() { vector<int> a(10, 1), b(10, %d); "
-                      "int r = (a %s b); }" % (fill_b, op))
+        def cycles(declare, fill_b, op):
+            source = ("int main() { %s int r = (a %s b); }"
+                      % (declare % fill_b, op))
             return Interpreter(parse(source)).run("").cycles
 
         compare = CostModel().compare
-        # equal: all 10 pairs examined; unequal at index 0: one pair
-        assert cycles(1, "==") - cycles(2, "==") == 9 * compare
-        assert cycles(1, "<") - cycles(2, "<") == 9 * compare
+        # equal: all 10 pairs examined; unequal at index 0: one pair. A
+        # pair's vector member (after equal int members) charges alike.
+        for declare in ("vector<int> a(10, 1), b(10, %d);",
+                        "pair<int, vector<int>> a, b; for (int i = 0; "
+                        "i < 10; i++) { a.second.push_back(1); "
+                        "b.second.push_back(%d); }"):
+            assert cycles(declare, 1, "==") - cycles(declare, 2, "==") \
+                == 9 * compare
+            assert cycles(declare, 1, "<") - cycles(declare, 2, "<") \
+                == 9 * compare
         # sizes differ: == examines no pair, < the 3 of the shorter
         def sized(op):
             return Interpreter(parse(
@@ -355,12 +363,44 @@ class TestContainerComparisons:
 
         assert sized("<") - sized("==") == 3 * compare
 
+    def test_sort_orders_rows_lexicographically(self):
+        rows = ("for (int i = 0; i < 3; i++) { for (int j = 0; "
+                "j < g[i].size(); j++) cout << g[i][j]; cout << ' '; } ")
+        out = run("int main() { vector<vector<int>> g(3); g[0].push_back(2);"
+                  " g[1].push_back(1); g[1].push_back(5); g[2].push_back(1);"
+                  " sort(g.begin(), g.end()); " + rows +
+                  "sort(g.rbegin(), g.rend()); " + rows + "}")
+        assert out == "1 15 2 2 15 1 "
+
+    def test_sort_of_rows_charges_a_flat_cost(self):
+        # Rows equal but for their last element make every comparison
+        # examine all 20 elements; rows differing first examine one.
+        def cycles(first, last):
+            return Interpreter(parse(
+                "int main() { vector<vector<int>> g(6, vector<int>(20, 1));"
+                " for (int i = 0; i < 6; i++) { g[i][0] = %s; "
+                "g[i][19] = %s; } sort(g.begin(), g.end()); }"
+                % (first, last))).run("").cycles
+
+        assert cycles("6 - i", "1") == cycles("1", "6 - i")
+
+    def test_pairs_with_vector_members(self):
+        out = run("int main() { pair<int, vector<int>> a, b; "
+                  "cout << (a < b) << (a == b) << (a != b) << (a <= b); "
+                  "b.second.push_back(1); "
+                  "cout << (a < b) << (a == b) << (b > a); a.first = 1; "
+                  "cout << (a < b) << (a > b); }")
+        assert out == "0101" + "101" + "01"
+
     @pytest.mark.parametrize("source", [
         "int main() { set<int> s, t; cout << (s == t); }",
         "int main() { vector<int> v; cout << (v == 1); }",
         "int main() { vector<int> v; cout << (2 < v); }",
         "int main() { map<int, int> m; cout << (m < m); }",
         "int main() { vector<set<int>> a(1), b(1); cout << (a == b); }",
+        "int main() { pair<int, int> p; cout << (p == 1); }",
+        "int main() { pair<int, set<int>> p, q; cout << (p < q); }",
+        "int main() { vector<set<int>> a(2); sort(a.begin(), a.end()); }",
     ])
     def test_other_container_comparisons_fault(self, source):
         with pytest.raises(RuntimeFault, match="cannot compare"):

@@ -20,14 +20,7 @@ from ..helpers import (backend_tolerance, check_gradients,
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-ALL_BACKENDS = ["numpy64", "numpy32", "cnative"]
-
-
-def _backend_or_skip(name: str):
-    """A ``use(name)`` context, skipping when the backend cannot run here."""
-    if name not in nn_backend.available_backends():
-        pytest.skip(f"backend {name!r} unavailable (dependency missing)")
-    return nn_backend.use(name)
+ALL_BACKENDS = ["numpy64", "numpy32"]
 
 
 def rand(shape, seed=0):
@@ -36,21 +29,24 @@ def rand(shape, seed=0):
 
 class TestRegistry:
     def test_default_is_numpy64(self):
-        assert nn_backend.active().name in [b for b in ALL_BACKENDS]
+        assert nn_backend.active().name in ALL_BACKENDS
         # Tests run without REPRO_BACKEND (or with it pointing at the
         # leg under test); whatever is active must self-describe.
         d = nn_backend.describe()
         assert set(d) == {"name", "dtype", "tolerance"}
 
-    @pytest.mark.parametrize("name", ["cuda", "numba"])
+    @pytest.mark.parametrize("name", ["cuda", "numba", "cnative"])
     def test_unknown_backend_raises_value_error(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
             nn_backend.get(name)
 
     def test_numpy_backends_always_available(self):
-        names = nn_backend.available_backends()
-        assert "numpy64" in names
-        assert "numpy32" in names
+        # Both backends are plain NumPy, so both are always registered,
+        # and the unknown-name error lists exactly them.
+        assert nn_backend.get("numpy64").dtype == np.float64
+        assert nn_backend.get("numpy32").dtype == np.float32
+        with pytest.raises(ValueError, match=r"\['numpy32', 'numpy64'\]"):
+            nn_backend.get("cnative")
 
     def test_use_is_scoped_and_restores(self):
         before = nn_backend.active().name
@@ -91,7 +87,7 @@ class TestRegistry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "numpy32"
 
-    @pytest.mark.parametrize("name", ["cuda", "numba"])
+    @pytest.mark.parametrize("name", ["cuda", "numba", "cnative"])
     def test_env_unknown_backend_fails_loudly(self, name):
         proc = self._spawn(name, "import repro.nn.backend")
         assert proc.returncode != 0
@@ -154,7 +150,7 @@ class TestDtypePolicy:
     @pytest.mark.parametrize("name,dtype", [("numpy64", np.float64),
                                             ("numpy32", np.float32)])
     def test_float_inputs_land_in_backend_dtype(self, name, dtype):
-        with _backend_or_skip(name):
+        with nn_backend.use(name):
             assert Tensor([1, 2, 3]).data.dtype == dtype
             assert Tensor(2.5).data.dtype == dtype
             assert Tensor(np.ones(3, dtype=np.float64)).data.dtype == dtype
@@ -168,7 +164,7 @@ class TestDtypePolicy:
         # identity — a silent float64 upcast would break (and slow) the
         # gather/scatter kernels.
         arr = np.array([0, 1, 1], dtype=idx_dtype)
-        with _backend_or_skip(name):
+        with nn_backend.use(name):
             out = nn_backend.active().asarray(arr)
             assert out is arr
             t = Tensor(arr)
@@ -193,7 +189,7 @@ class TestIndexArraysStayIntegral:
     @pytest.mark.parametrize("name", ["numpy64", "numpy32"])
     def test_take_rows_roundtrip(self, name):
         idx = np.array([2, 0], dtype=np.int64)
-        with _backend_or_skip(name):
+        with nn_backend.use(name):
             a = Tensor(rand((4, 3)), requires_grad=True)
             gathered = a.take_rows(idx)
             np.testing.assert_allclose(gathered.data, a.data[idx])
@@ -202,7 +198,7 @@ class TestIndexArraysStayIntegral:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_int32_rows_keep_value_dtype(self, name):
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             data = rand((4, 2)).astype(b.dtype)
             out = b.take_rows(data, np.array([2, 3, 2], dtype=np.int32))
             assert out.dtype == data.dtype
@@ -223,7 +219,7 @@ class TestSegmentSum:
     def test_sorted_ids_fast_path(self, name):
         data = rand((7, 4))
         ids = np.array([0, 0, 1, 1, 1, 2, 3])
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             out = b.segment_sum(data.astype(b.dtype), ids, 4)
         np.testing.assert_allclose(
             out, _segment_reference(data, ids, 4), atol=b.tolerance)
@@ -232,7 +228,7 @@ class TestSegmentSum:
     def test_unsorted_ids_fallback(self, name):
         data = rand((6, 3), 1)
         ids = np.array([2, 0, 2, 1, 0, 2])     # decreasing at index 1
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             out = b.segment_sum(data.astype(b.dtype), ids, 3)
         np.testing.assert_allclose(
             out, _segment_reference(data, ids, 3), atol=b.tolerance)
@@ -245,7 +241,7 @@ class TestSegmentSum:
     ])
     def test_empty_segments_stay_zero(self, name, ids, m):
         data = rand((ids.size, 2), 2)
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             out = b.segment_sum(data.astype(b.dtype), ids, m)
         ref = _segment_reference(data, ids, m)
         np.testing.assert_allclose(out, ref, atol=b.tolerance)
@@ -254,7 +250,7 @@ class TestSegmentSum:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_no_rows_at_all(self, name):
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             out = b.segment_sum(np.empty((0, 3), dtype=b.dtype),
                                 np.empty(0, dtype=np.int64), 2)
         assert out.shape == (2, 3)
@@ -264,7 +260,7 @@ class TestSegmentSum:
     def test_pair_matches_two_single_sums(self, name):
         a, c = rand((5, 3), 3), rand((5, 3), 4)
         ids = np.array([0, 1, 1, 2, 2])
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             fused = b.segment_sum_pair(a.astype(b.dtype), c.astype(b.dtype),
                                        ids, 3)
             left = b.segment_sum(a.astype(b.dtype), ids, 3)
@@ -283,7 +279,7 @@ class TestSegmentSum:
         # The tree-LSTM's child sweep: h~ and sum(f*c) over one edge list.
         a, f, c = rand((6, 3), 5), rand((6, 3), 6), rand((6, 3), 7)
         ids = np.array([0, 0, 1, 3, 3, 3])      # segment 2 empty
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             gated = b.segment_sum_pair_gated(
                 *(v.astype(b.dtype) for v in (a, f, c)), ids, 4)
         np.testing.assert_allclose(gated[:, :3],
@@ -316,7 +312,7 @@ class TestScatterAddRows:
     @pytest.mark.parametrize("shape", [(50, 7), (50,)])
     def test_unique_rows_bitwise_equal_to_add_at(self, name, shape):
         rows = np.random.default_rng(2).permutation(shape[0])[:30]
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             base = rand(shape, 1).astype(b.dtype)
             values = rand((30,) + shape[1:], 3).astype(b.dtype)
             out = _scatter(b, base, rows, values)
@@ -329,7 +325,7 @@ class TestScatterAddRows:
         rng = np.random.default_rng(4)
         rows = np.concatenate([rng.integers(0, 20, 300), np.full(1000, 7)])
         rng.shuffle(rows)
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             base = rand(shape, 5).astype(b.dtype)
             values = rand((rows.size,) + shape[1:], 6).astype(b.dtype)
             outs = [_scatter(b, base, rows, values) for _ in range(3)]
@@ -341,7 +337,7 @@ class TestScatterAddRows:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     @pytest.mark.parametrize("rows", [[-1, 0, 2], [-1, 3, -4, 0, -1]])
     def test_negative_rows_count_from_the_end(self, name, rows):
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             base = rand((4, 3), 7).astype(b.dtype)
             values = rand((len(rows), 3), 8).astype(b.dtype)
             out = _scatter(b, base, rows, values)
@@ -351,7 +347,7 @@ class TestScatterAddRows:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_negative_rows_through_autograd(self, name):
-        with _backend_or_skip(name):
+        with nn_backend.use(name):
             a = Tensor(rand((4, 3), 9), requires_grad=True)
             b = Tensor(rand((2, 3), 10), requires_grad=True)
             picked = a[np.array([-1, 0, -1])]
@@ -368,11 +364,96 @@ class TestScatterAddRows:
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_empty_rows_are_a_no_op(self, name):
-        with _backend_or_skip(name) as b:
+        with nn_backend.use(name) as b:
             base = rand((4, 3), 10).astype(b.dtype)
             out = _scatter(b, base, np.empty(0, dtype=np.int64),
                            np.empty((0, 3), dtype=b.dtype))
         assert out.tobytes() == base.tobytes()
+
+
+def _scatter_case(rows):
+    def run(b, cast):
+        out = cast(rand((4, 3), 1))
+        b.scatter_add_rows(out, rows, cast(rand((rows.size, 3), 2)))
+        return (out,)
+    return run
+
+
+def _gates(b, cast, activation):
+    return b.gemm_gates(cast(rand((6,))), cast(rand((4, 5), 1)),
+                        cast(rand((6, 5), 2)), activation)
+
+
+def _act_backward_case(activation):
+    def run(b, cast):
+        out = _gates(b, cast, activation)
+        return (b.act_backward(cast(rand((4, 6), 3)), out, activation),)
+    return run
+
+
+# Each case runs one kernel on ``cast`` operands and returns its outputs.
+KERNEL_CASES = {
+    "segment_sum-sorted": lambda b, cast: (
+        b.segment_sum(cast(rand((7, 4))),
+                      np.array([0, 0, 1, 1, 1, 2, 3]), 4),),
+    "segment_sum-unsorted": lambda b, cast: (
+        b.segment_sum(cast(rand((6, 3), 1)),
+                      np.array([2, 0, 2, 1, 0, 2]), 3),),
+    "segment_sum-empty-segments": lambda b, cast: (
+        b.segment_sum(cast(rand((4, 2), 2)), np.array([0, 0, 2, 2]), 4),),
+    "segment_sum-no-rows": lambda b, cast: (
+        b.segment_sum(cast(np.empty((0, 3))),
+                      np.empty(0, dtype=np.int64), 2),),
+    "segment_sum_pair": lambda b, cast: (
+        b.segment_sum_pair(cast(rand((5, 3), 3)), cast(rand((5, 3), 4)),
+                           np.array([0, 1, 1, 2, 2]), 3),),
+    "segment_sum_pair_gated": lambda b, cast: (
+        b.segment_sum_pair_gated(
+            *(cast(rand((6, 3), seed)) for seed in (5, 6, 7)),
+            np.array([0, 0, 1, 3, 3, 3]), 4),),
+    "take_rows": lambda b, cast: (
+        b.take_rows(cast(rand((4, 2))), np.array([2, 3, 2])),),
+    "scatter_add_rows-unique": _scatter_case(np.array([2, 0, 3])),
+    "scatter_add_rows-duplicates": _scatter_case(np.array([3, 0, 3, 1, 3])),
+    "gemm_gates": lambda b, cast: (_gates(b, cast, None),),
+    "gemm_gates-sigmoid": lambda b, cast: (_gates(b, cast, "sigmoid"),),
+    "gemm_gates-tanh": lambda b, cast: (_gates(b, cast, "tanh"),),
+    "gemm_gates-iou": lambda b, cast: (_gates(b, cast, "iou"),),
+    "act_backward-sigmoid": _act_backward_case("sigmoid"),
+    "act_backward-tanh": _act_backward_case("tanh"),
+    "act_backward-iou": _act_backward_case("iou"),
+    "lstm_cell": lambda b, cast: b.lstm_cell(
+        _gates(b, cast, "iou"), cast(rand((4, 2), 4))),
+    "lstm_cell_backward": lambda b, cast: b.lstm_cell_backward(
+        cast(rand((4, 4), 5)), _gates(b, cast, "iou"),
+        cast(np.tanh(rand((4, 2), 6)))),
+}
+
+
+class TestKernelsFollowOperandDtype:
+    """The two backends differ only in dtype and tolerance. Every
+    kernel keeps its operands' float width (only ``asarray`` and
+    ``zeros`` apply the policy), gives the same bits on either backend,
+    and at float32 stays within ``numpy32``'s tolerance of float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_follows_operand_dtype(self, case, dtype):
+        run = KERNEL_CASES[case]
+        outs = {name: run(nn_backend.get(name),
+                          lambda a: np.asarray(a, dtype=dtype))
+                for name in ALL_BACKENDS}
+        reference = run(nn_backend.get("numpy64"),
+                        lambda a: np.asarray(a, dtype=np.float64))
+        tol = 0.0 if dtype == np.float64 else \
+            nn_backend.get("numpy32").tolerance
+        for name, out in outs.items():
+            assert len(out) == len(reference)
+            for got, first, ref in zip(out, outs["numpy64"], reference):
+                assert got.dtype == dtype, name
+                assert got.tobytes() == first.tobytes(), name
+                np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
 
 
 def _masked_sigmoid(x):
@@ -416,22 +497,12 @@ class TestSigmoidStable:
 
 class TestAddmm:
     def test_matches_composed_graph_bitwise(self):
-        """Bitwise against the composed graph when the backend's GEMM
-        is the NumPy/BLAS one; ``cnative``'s compiled dot loop differs
-        from BLAS in the last ulp, so it gets the documented 1e-8 bar
-        (the same contract the compiled segment kernels carry)."""
-        if nn_backend.active().name == "cnative":
-            def assert_same(a, b):
-                np.testing.assert_allclose(a, b, rtol=0,
-                                           atol=backend_tolerance())
-        else:
-            assert_same = np.testing.assert_array_equal
         bias = Tensor(rand((4,)), requires_grad=True)
         x = Tensor(rand((3, 5), 1), requires_grad=True)
         w = Tensor(rand((4, 5), 2), requires_grad=True)
         fused = Tensor.addmm(bias, x, w)
         composed = bias + x.matmul(w.T)
-        assert_same(fused.data, composed.data)
+        np.testing.assert_array_equal(fused.data, composed.data)
 
         fused.sum().backward()
         fused_grads = [t.grad.copy() for t in (bias, x, w)]
@@ -440,7 +511,37 @@ class TestAddmm:
         composed2 = bias + x.matmul(w.T)
         composed2.sum().backward()
         for g, t in zip(fused_grads, (bias, x, w)):
-            assert_same(g, t.grad)
+            np.testing.assert_array_equal(g, t.grad)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+    def test_fused_activation_matches_composed_graph_bitwise(self,
+                                                             activation):
+        bias = Tensor(rand((4,)), requires_grad=True)
+        x = Tensor(rand((3, 5), 1), requires_grad=True)
+        w = Tensor(rand((4, 5), 2), requires_grad=True)
+        upstream = Tensor(rand((3, 4), 3))
+
+        def run(build):
+            for t in (bias, x, w):
+                t.zero_grad()
+            out = build()
+            (out * upstream).sum().backward()
+            return [out.data] + [t.grad.copy() for t in (bias, x, w)]
+
+        fused = run(lambda: Tensor.addmm(bias, x, w, activation=activation))
+        composed = run(lambda: getattr(bias + x.matmul(w.T), activation)())
+        for f, c in zip(fused, composed):
+            np.testing.assert_array_equal(f, c)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "iou"])
+    def test_gradcheck_through_fused_activation(self, activation):
+        base = Tensor(rand((9,), 3), requires_grad=True)
+        mat = Tensor(rand((5, 4), 4), requires_grad=True)
+        weight = Tensor(rand((9, 4), 5), requires_grad=True)
+        check_gradients(
+            lambda: (Tensor.addmm(base, mat, weight,
+                                  activation=activation) ** 2).sum(),
+            [base, mat, weight])
 
     def test_gradcheck_broadcast_bias(self):
         bias = Tensor(rand((4,)), requires_grad=True)

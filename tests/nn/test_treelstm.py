@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from repro.nn import (ChildSumTreeLSTM, Embedding, ForestSchedule, LSTM,
                       Tensor, TreeLSTMStack, TreeSchedule, no_grad,
                       schedule_for)
+from repro.nn import backend as nn_backend
 from repro.nn.treelstm import share_subtrees
 
 from ..helpers import backend_tolerance, check_gradients
 from .reference_treelstm import (LoopForestSchedule, loop_tree_levels,
                                  reference_passes, reference_run)
-from .test_backend import ALL_BACKENDS, _backend_or_skip
+from .test_backend import ALL_BACKENDS
 
 
 def chain_children(n):
@@ -446,7 +447,7 @@ class TestOnePassMatchesOracle:
     @pytest.mark.parametrize("direction", ["uni", "bi", "alternating"])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_stack_matches_oracle(self, backend, kind, direction, layers):
-        with _backend_or_skip(backend):
+        with nn_backend.use(backend):
             sched = self._schedule(kind)
             ids = np.random.default_rng(layers).integers(
                 0, self.VOCAB, sched.num_nodes)
@@ -456,7 +457,7 @@ class TestOnePassMatchesOracle:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_node_level_pass_matches_oracle(self, backend, direction):
-        with _backend_or_skip(backend):
+        with nn_backend.use(backend):
             sched = self._schedule("forest")
             rng = np.random.default_rng(5)
             cell = ChildSumTreeLSTM(3, 4, rng=rng)

@@ -1,6 +1,9 @@
 """End-to-end CLI tests: collect -> stats -> train -> predict."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 from repro.cli import main
 
 from .helpers import pre_removal_checkpoint
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +164,20 @@ class TestTrainAndPredict:
         with pytest.raises(SystemExit):
             main(["train", "--db", str(db_path),
                   "--out", str(tmp_path / "m.npz")])
+
+    def test_unknown_backend_exits_nonzero(self, workspace, tmp_path):
+        # The deleted C backend's name is as unknown as any other.
+        _, db_path = workspace
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "train", "--backend", "cnative",
+             "--db", str(db_path), "--tag", "C",
+             "--out", str(tmp_path / "m.npz")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")))
+        assert proc.returncode != 0
+        assert ("--backend: unknown backend 'cnative' (registered: "
+                "['numpy32', 'numpy64'])") in proc.stderr
+        assert not (tmp_path / "m.npz").exists()
 
 
 class TestResumeTraining:

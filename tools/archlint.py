@@ -35,14 +35,14 @@ it) and fails CI on:
     the :mod:`repro.obs.metrics` registry so one snapshot covers them
     all. Annotate a non-metric mapping with
     ``# archlint: allow-counter-dict``.
-``native-compile-outside-cnative``
-    In ``src/``, a ``ctypes`` import, a ``CDLL``/``LoadLibrary`` call,
-    or a subprocess invocation carrying compiler-marker literals
-    (``cc``/``gcc``/``clang``/``-shared``/``-fPIC``/``-fopenmp``)
-    outside ``src/repro/nn/cnative/``. Self-compiled native code is
-    confined to the cnative backend so there is exactly one build
-    cache, one ABI seam, and one fallback story. A deliberate
-    exception carries ``# archlint: allow-native-compile``.
+``native-compile``
+    Anywhere in ``src/``, a ``ctypes`` import, a ``CDLL``/``LoadLibrary``
+    call, or a subprocess invocation carrying compiler-marker literals
+    (``cc``/``gcc``/``clang``/``-shared``/``-fPIC``/``-fopenmp``). The
+    package is pure Python on NumPy: self-compiled native code brings a
+    build cache, an ABI seam and a no-compiler fallback with it, which
+    must be bought with a measured win on the real workload. A
+    deliberate exception carries ``# archlint: allow-native-compile``.
 
 Usage::
 
@@ -64,7 +64,7 @@ __all__ = ["Violation", "check_source", "scan", "main", "RULES"]
 
 RULES = ("training-loop-outside-engine", "kernel-outside-backend",
          "sleep-in-serve-tests", "print-outside-obs",
-         "adhoc-counter-dict", "native-compile-outside-cnative")
+         "adhoc-counter-dict", "native-compile")
 
 #: the one file allowed to drive optimizer steps and epoch loops
 _ENGINE_LOOP = "src/repro/engine/loop.py"
@@ -79,8 +79,6 @@ _OBS_HOME = "src/repro/obs/"
 #: attribute names that smell like an ad-hoc counter store
 _COUNTER_ATTR_MARKERS = ("counter", "_counts", "counts_",
                          "flush_triggers", "_hits", "_misses")
-#: the one tree allowed to compile and dlopen native code
-_CNATIVE_HOME = "src/repro/nn/cnative/"
 #: string literals that mark a subprocess call as a compiler invocation
 _COMPILER_LITERALS = frozenset({"cc", "gcc", "clang",
                                 "-shared", "-fPIC", "-fopenmp"})
@@ -176,7 +174,7 @@ def _is_dlopen_call(call: ast.Call) -> bool:
 def _is_compiler_subprocess(call: ast.Call) -> bool:
     """A subprocess-style call whose arguments carry compiler markers
     (``["cc", "-shared", ...]``) — i.e. code that shells out to a C
-    compiler instead of going through the cnative build module."""
+    compiler."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else (
         func.id if isinstance(func, ast.Name) else "")
@@ -245,7 +243,7 @@ def check_source(rel_path: str, source: str) -> list[Violation]:
                     "counters on the repro.obs.metrics registry (or "
                     "annotate with "
                     "'# archlint: allow-counter-dict <reason>')"))
-        if in_src and not rel.startswith(_CNATIVE_HOME):
+        if in_src:
             offending = (
                 _is_ctypes_import(node) if isinstance(node, (ast.Import,
                                                              ast.ImportFrom))
@@ -254,10 +252,10 @@ def check_source(rel_path: str, source: str) -> list[Violation]:
             if offending and not _allowed(lines, node.lineno,
                                           "native-compile"):
                 violations.append(Violation(
-                    "native-compile-outside-cnative", rel, node.lineno,
+                    "native-compile", rel, node.lineno,
                     "ctypes / shared-object load / compiler subprocess "
-                    "outside repro.nn.cnative; self-compiled native code "
-                    "lives behind the cnative backend (or annotate with "
+                    "in src/; the package is pure Python on NumPy (or "
+                    "annotate with "
                     "'# archlint: allow-native-compile <reason>')"))
         if in_serve_tests:
             if (isinstance(node, ast.Call) and _is_sleep_call(node)
