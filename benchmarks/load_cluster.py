@@ -17,7 +17,7 @@ requests) — the CI chaos smoke job. Throughput and the final
 supervisor counters are written to a JSON artifact::
 
     PYTHONPATH=src python benchmarks/load_cluster.py --chaos \\
-        --out BENCH_PR6.json
+        --out chaos-load.json
 
 Exit code is non-zero if any invariant is violated.
 """
@@ -68,7 +68,7 @@ def main() -> int:
                         help="SIGKILL a worker and inject a corrupt + a "
                              "good checkpoint swap mid-load")
     parser.add_argument("--out", type=Path, default=None,
-                        help="JSON artifact path (e.g. BENCH_PR6.json)")
+                        help="JSON artifact path (e.g. chaos-load.json)")
     parser.add_argument("--seed", type=int, default=2)
     args = parser.parse_args()
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from benchmarks.synthetic import SOURCE, variants
-from repro.core import TrainConfig, Trainer, build_model
+from repro.core import TrainConfig, build_model
 from repro.data import sample_pairs
+from repro.engine import Engine
 from repro.judge import Judge, MachineProfile
 from repro.lang import parse
 
@@ -52,14 +53,14 @@ def test_bench_training_step(benchmark, table1_db):
     subs = table1_db.submissions("C")
     pairs = sample_pairs(subs, 8, np.random.default_rng(0))
     model = build_model(embedding_dim=16, hidden_size=16)
-    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=8))
-    prepared = trainer._featurize_pairs(pairs)
+    engine = Engine(model, TrainConfig(epochs=1, batch_size=8))
+    prepared = engine._featurize_pairs(pairs)
 
     def step():
-        trainer.optimizer.zero_grad()
-        loss = trainer._batch_loss(prepared)
+        engine.optimizer.zero_grad()
+        loss = engine._batch_loss(prepared)
         loss.backward()
-        trainer.optimizer.step()
+        engine.optimizer.step()
         return loss
 
     # 5 warm-up rounds: the grad-buffer pool and allocator arenas take
@@ -74,10 +75,7 @@ def test_bench_training_step(benchmark, table1_db):
 def test_bench_forest_encode(benchmark):
     """Pairs/sec of the fused forward path at batch 16 (32 trees per
     call, one forest). No corpus needed: 16 structurally distinct pairs
-    are built by varying the synthetic source. (The pre-PR4 version of
-    this benchmark replaced a line that did not exist, so every
-    "variant" was byte-identical to SOURCE; variant trees are slightly
-    bigger now, which makes this metric conservative vs BENCH_PR1.)"""
+    are built by varying the synthetic source."""
     model = build_model(embedding_dim=16, hidden_size=16)
     feats = [(model.featurizer(SOURCE), model.featurizer(v))
              for v in variants(16)]
@@ -95,7 +93,7 @@ def test_bench_forest_encode(benchmark):
 
 def _variant_pairs(model, n: int):
     """``n`` labelled pairs of distinct synthetic variants, featurized
-    (the shape ``Trainer._batch_loss`` takes)."""
+    (the shape ``Engine._batch_loss`` takes)."""
     sources = variants(2 * n)
     return [(model.featurizer(sources[2 * k]),
              model.featurizer(sources[2 * k + 1]), k % 2)
@@ -107,14 +105,14 @@ def test_bench_training_step_paper_size(benchmark):
     16 variant pairs (32 trees): table projection, level-batched
     forward, backward and Adam step."""
     model = build_model(embedding_dim=120, hidden_size=100)
-    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=16))
+    engine = Engine(model, TrainConfig(epochs=1, batch_size=16))
     prepared = _variant_pairs(model, 16)
 
     def step():
-        trainer.optimizer.zero_grad()
-        loss = trainer._batch_loss(prepared)
+        engine.optimizer.zero_grad()
+        loss = engine._batch_loss(prepared)
         loss.backward()
-        trainer.optimizer.step()
+        engine.optimizer.step()
         return loss
 
     loss = benchmark.pedantic(step, rounds=5, iterations=1,
@@ -139,11 +137,11 @@ def test_bench_full_epoch(benchmark, table1_db):
     subs = table1_db.submissions("C")
     pairs = sample_pairs(subs, 24, np.random.default_rng(1))
     model = build_model(embedding_dim=16, hidden_size=16)
-    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=8, seed=0))
-    trainer._featurize_pairs(pairs)  # warm the featurizer cache
+    engine = Engine(model, TrainConfig(epochs=1, batch_size=8, seed=0))
+    engine._featurize_pairs(pairs)  # warm the featurizer cache
 
     def epoch():
-        return trainer.fit(pairs)
+        return engine.fit(pairs)
 
     history = benchmark.pedantic(epoch, rounds=3, iterations=1,
                                  warmup_rounds=1)

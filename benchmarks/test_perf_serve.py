@@ -12,8 +12,8 @@ Not a paper artifact — these quantify the `repro.serve` subsystem:
   ``ComparativeModel.predict_probability`` (two single-tree encodes
   per request), i.e. what every request cost before this subsystem.
 
-The checked-in ``BENCH_PR4.json`` carries these numbers; the e2e suite
-asserts warm serving beats naive by >= 3x from that artifact.
+``tests/serve/test_service_e2e.py`` times the warm and naive bursts
+live and asserts that warm serving beats naive by >= 3x.
 """
 
 import numpy as np
@@ -90,9 +90,8 @@ def test_bench_serve_threaded_compare(benchmark):
     The NumPy kernels hold the GIL between their BLAS calls, so the
     client threads mostly time-slice the encode work; this row is the
     threaded batcher's side of the A/B against the inline
-    ``warm_compare`` row. ``run_microbench --backends numpy64,numpy32``
-    stamps it as ``...threaded_compare`` and
-    ``...threaded_compare[numpy32]`` side by side.
+    ``warm_compare`` row. Run the file again under
+    ``REPRO_BACKEND=numpy32`` for that backend's row.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -9,10 +9,6 @@ The demo replays a plausible development history of one file (a range
 sum utility) with three successive rewrites, two harmless and one that
 silently degrades complexity.
 
-The same gating idea applied to this repository's own performance —
-flagging a PR whose microbenchmarks drift out of the historical noise
-band — lives in ``benchmarks/trend_check.py``.
-
 Run:  python examples/regression_gate.py
 """
 

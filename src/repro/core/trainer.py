@@ -43,16 +43,6 @@ class Trainer:
         self.optimizer = self.engine.optimizer
 
     # ------------------------------------------------------------------
-    # compatibility shims over the engine's internals (the perf
-    # microbenchmarks drive single steps through these)
-    # ------------------------------------------------------------------
-    def _featurize_pairs(self, pairs: list[CodePair]):
-        return self.engine._featurize_pairs(pairs)
-
-    def _batch_loss(self, batch):
-        return self.engine._batch_loss(batch)
-
-    # ------------------------------------------------------------------
     def fit(self, train_pairs: list[CodePair],
             val_pairs: list[CodePair] | None = None) -> TrainHistory:
         return self.engine.fit(train_pairs, val_pairs=val_pairs)

@@ -244,9 +244,14 @@ def _coerce(value, type_spec: TypeSpec):
 
 
 def _hashable(value):
-    """A pair as a tuple (hashable, ordered member-wise); else as is."""
-    if isinstance(value, PairVal):
-        return (value.first, value.second)
+    """A map or set key by value: a pair as a tuple and a vector as a
+    tuple of its items, recursively, so equal keys are one key and keys
+    order member-wise; else as is."""
+    kind = type(value)
+    if kind is PairVal:
+        return (_hashable(value.first), _hashable(value.second))
+    if kind is VectorVal:
+        return tuple(_hashable(item) for item in value.items)
     return value
 
 
@@ -769,12 +774,17 @@ class _Runtime:
         """Library function ``name`` on evaluated arguments (every name but
         casts and ``swap``, which the compiler handles)."""
         cost = self.cost
-        if name == "max":
+        if name == "max" or name == "min":
             _charge(st, cost.compare)
-            return max(args)
-        if name == "min":
-            _charge(st, cost.compare)
-            return min(args)
+            if len(args) == 2 and (type(args[0]) in _COMPOSITES
+                                   or type(args[1]) in _COMPOSITES):
+                # C++: max is (a < b) ? b : a, min is (b < a) ? b : a,
+                # each charged as that < is.
+                a, b = args
+                if name == "max":
+                    return b if _value_order(st, a, b, cost.compare) < 0 else a
+                return b if _value_order(st, b, a, cost.compare) < 0 else a
+            return max(args) if name == "max" else min(args)
         if name == "abs" or name == "fabs" or name == "llabs":
             _charge(st, cost.int_arith)
             return abs(args[0])

@@ -308,27 +308,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     # ------------------------------------------------------------------
     # reductions and shape ops
     # ------------------------------------------------------------------

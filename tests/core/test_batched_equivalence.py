@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import TrainConfig, Trainer, build_model, pack_forest
 from repro.data import sample_pairs
+from repro.engine import Engine
 from repro.nn import Tensor, bce_with_logits
 
 from ..helpers import backend_tolerance
@@ -19,8 +20,8 @@ from ..helpers import backend_tolerance
 DIRECTIONS = ("uni", "bi", "alternating")
 
 
-class SequentialTrainer(Trainer):
-    """Reference trainer: the pre-forest per-pair loss (one encoder
+class SequentialEngine(Engine):
+    """Reference engine: the pre-forest per-pair loss (one encoder
     invocation per tree), used as the ground truth for equivalence."""
 
     def _batch_loss(self, batch):
@@ -90,25 +91,62 @@ class TestLogitEquivalence:
             model.embed_batch([pairs[0].first.source], batch_size=0)
 
 
+def _assert_fit_matches_sequential(pairs, **model_options):
+    """Same seeds => same per-epoch losses, final weights and final
+    logits, whether batches are encoded as one forest or tree by tree."""
+    config = TrainConfig(epochs=2, batch_size=4, seed=7)
+    model_a = build_model(**model_options)
+    model_b = build_model(**model_options)
+    hist_batched = Engine(model_a, config).fit(pairs)
+    hist_sequential = SequentialEngine(model_b, config).fit(pairs)
+
+    np.testing.assert_allclose(hist_batched.losses,
+                               hist_sequential.losses, atol=backend_tolerance(1e-8))
+    weights_b = model_b.state_dict()
+    for name, weight in model_a.state_dict().items():
+        np.testing.assert_allclose(weight, weights_b[name],
+                                   atol=backend_tolerance(1e-8),
+                                   err_msg=name)
+    feats = [(model_a.featurizer(p.first.source),
+              model_a.featurizer(p.second.source)) for p in pairs[:4]]
+    za = model_a.pair_logits(feats).data
+    zb = np.array([model_b.pair_logit(*f).item() for f in feats])
+    np.testing.assert_allclose(za, zb, atol=backend_tolerance(1e-8))
+
+
 class TestTrainingEquivalence:
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_fit_matches_sequential_reference(self, corpus_c, direction):
-        """Same seeds => same per-epoch losses and same final logits,
-        whether batches are encoded as one forest or tree by tree."""
-        pairs = _pairs(corpus_c, 12, seed=2)
-        config = TrainConfig(epochs=2, batch_size=4, seed=7)
+        _assert_fit_matches_sequential(
+            _pairs(corpus_c, 12, seed=2), embedding_dim=8, hidden_size=8,
+            num_layers=2, direction=direction, seed=9)
 
-        model_a = build_model(embedding_dim=8, hidden_size=8, num_layers=2,
-                              direction=direction, seed=9)
-        model_b = build_model(embedding_dim=8, hidden_size=8, num_layers=2,
-                              direction=direction, seed=9)
-        hist_batched = Trainer(model_a, config).fit(pairs)
-        hist_sequential = SequentialTrainer(model_b, config).fit(pairs)
+    def test_gcn_fit_matches_sequential_reference(self, corpus_c):
+        _assert_fit_matches_sequential(
+            _pairs(corpus_c, 12, seed=2), encoder_kind="gcn", embedding_dim=8,
+            hidden_size=8, num_layers=2, seed=9)
 
-        np.testing.assert_allclose(hist_batched.losses,
-                                   hist_sequential.losses, atol=backend_tolerance(1e-7))
-        feats = [(model_a.featurizer(p.first.source),
-                  model_a.featurizer(p.second.source)) for p in pairs[:4]]
-        za = model_a.pair_logits(feats).data
-        zb = np.array([model_b.pair_logit(*f).item() for f in feats])
-        np.testing.assert_allclose(za, zb, atol=backend_tolerance(1e-6))
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_batch_loss_and_gradients_match_sequential(self, corpus_c,
+                                                       direction):
+        """One batch: the forest loss and every parameter's gradient
+        equal the per-tree reference's."""
+        pairs = _pairs(corpus_c, 6, seed=5)
+        results = []
+        for engine_cls in (Engine, SequentialEngine):
+            model = build_model(embedding_dim=8, hidden_size=8, num_layers=2,
+                                direction=direction, seed=9)
+            engine = engine_cls(model)
+            loss = engine._batch_loss(engine._featurize_pairs(pairs))
+            loss.backward()
+            results.append((loss.item(),
+                            {name: p.grad for name, p
+                             in model.named_parameters()}))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        np.testing.assert_allclose(loss_a, loss_b, atol=backend_tolerance(1e-8))
+        assert grads_a.keys() == grads_b.keys()
+        for name, grad in grads_a.items():
+            assert grad is not None, name
+            np.testing.assert_allclose(grad, grads_b[name],
+                                       atol=backend_tolerance(1e-8),
+                                       err_msg=name)

@@ -482,10 +482,13 @@ class Interpreter:
             return None
         return None
 
-    @staticmethod
-    def _hashable(key):
+    @classmethod
+    def _hashable(cls, key):
+        """Keys by value: pairs and vectors as tuples, recursively."""
         if isinstance(key, PairVal):
-            return (key.first, key.second)
+            return (cls._hashable(key.first), cls._hashable(key.second))
+        if isinstance(key, VectorVal):
+            return tuple(cls._hashable(item) for item in key.items)
         return key
 
     @staticmethod
@@ -999,12 +1002,16 @@ class Interpreter:
                 return chr(self._as_int(value))
             return int(self._numeric(value))
         args = [self._eval(a) for a in node.args]
-        if name == "max":
+        if name in ("max", "min"):
             self._charge(self.cost.compare)
-            return max(args)
-        if name == "min":
-            self._charge(self.cost.compare)
-            return min(args)
+            if len(args) == 2 and (isinstance(args[0], _COMPOSITES)
+                                   or isinstance(args[1], _COMPOSITES)):
+                # C++: max is (a < b) ? b : a, min is (b < a) ? b : a.
+                a, b = args
+                if name == "max":
+                    return b if self._value_order(a, b) < 0 else a
+                return b if self._value_order(b, a) < 0 else a
+            return max(args) if name == "max" else min(args)
         if name == "abs" or name == "fabs" or name == "llabs":
             self._charge(self.cost.int_arith)
             return abs(args[0])

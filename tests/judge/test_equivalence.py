@@ -547,6 +547,10 @@ FAULT_PROGRAMS = [
     "int main() { pair<int, int> p; cout << (p < 2); }",
     "int main() { pair<int, map<int, int>> p, q; cout << (p == q); }",
     "int main() { vector<set<int>> a(2); sort(a.begin(), a.end()); }",
+    "int main() { pair<int, int> p; cout << max(p, 1).first; }",
+    "int main() { vector<int> v; set<int> s; min(v, s); }",
+    "int main() { set<int> s, t; max(s, t); }",
+    "int main() { vector<int> v; pair<int, int> p; max(v, p); }",
 ]
 
 
@@ -618,10 +622,113 @@ def test_container_comparisons(name):
     assert_equivalent(CONTAINER_COMPARISONS[name], ["0", "2", "5"])
 
 
+#: Programs whose C++ output the judge and the oracle once both got
+#: wrong, with that output on inputs "0", "2" and "5".
+CPP_OUTPUTS = {
+    "max_min_of_composites": ("""
+        int main() {
+            int n; cin >> n;
+            vector<int> a(n, 1), b(n + 1, 1);
+            if (n > 1) b[1] = 0;
+            vector<int> hi = max(a, b), lo = min(a, b);
+            cout << hi.size() << lo.size() << max(n, 3) << min(n, 3) << ' ';
+            pair<int, vector<int>> p, q;
+            q.second = a;
+            p.first = n % 2;
+            pair<int, vector<int>> r = max(p, q), s = min(p, q);
+            cout << r.first << r.second.size() << s.first << s.second.size();
+            vector<vector<int>> g(n + 1, a), h(n + 1, b);
+            cout << ' ' << max(g, h).size() << min(h, g).size();
+        }""", ["1030 0000 11", "2332 0200 33", "5653 1005 66"]),
+    "running_max_min": ("""
+        int main() {
+            int n; cin >> n;
+            vector<vector<int>> rows;
+            for (int i = 0; i < n; i++) {
+                vector<int> r;
+                for (int j = 0; j <= i % 3; j++) r.push_back((i * 7 + j * 3) % 5);
+                rows.push_back(r);
+            }
+            vector<int> best, worst(4, 9);
+            pair<int, int> top, low;
+            low.first = 9;
+            for (int i = 0; i < n; i++) {
+                best = max(best, rows[i]);
+                worst = min(worst, rows[i]);
+                pair<int, int> p;
+                p.first = rows[i][0];
+                p.second = i;
+                top = max(top, p);
+                low = min(low, p);
+            }
+            for (int j = 0; j < best.size(); j++) cout << best[j];
+            cout << ' ';
+            for (int j = 0; j < worst.size(); j++) cout << worst[j];
+            cout << ' ' << top.first << top.second << ' ' << low.first << low.second;
+        }""", [" 9999 00 90", "20 0 21 00", "420 0 42 00"]),
+    "max_min_copies": ("""
+        int main() {
+            int n; cin >> n;
+            vector<int> a(n, 1), b(n, 2);
+            vector<int> c = max(a, b), d = min(b, a);
+            c.push_back(7);
+            d.push_back(8);
+            c[0] = 5;
+            cout << a.size() << b.size() << c.size() << d.size() << c[0] << d[n];
+            cout << ' ' << (n > 0 ? b[0] + a[n - 1] : 0);
+        }""", ["001158 0", "223358 3", "556658 3"]),
+    "keys_by_value": ("""
+        int main() {
+            int n; cin >> n;
+            map<vector<int>, int> m;
+            set<vector<int>> s;
+            set<pair<int, vector<int>>> t;
+            for (int i = 0; i < 2 * n; i++) {
+                vector<int> v(i % 3, i % 2);
+                m[v] += i;
+                s.insert(v);
+                pair<int, vector<int>> p;
+                p.first = i % 2;
+                p.second = v;
+                t.insert(p);
+            }
+            cout << m.size() << s.size() << t.size() << ' ';
+            vector<int> e;
+            cout << m.count(e) << s.count(e) << m[e] << ' ';
+            s.erase(e);
+            cout << s.size() << m.size();
+        }""", ["000 000 01", "334 113 23", "556 1118 45"]),
+    "nested_keys_by_value": ("""
+        int main() {
+            int n; cin >> n;
+            set<vector<vector<int>>> s;
+            map<pair<vector<int>, int>, int> m;
+            for (int i = 0; i < 2 * n; i++) {
+                vector<vector<int>> g(i % 2, vector<int>(i % 3, 1));
+                s.insert(g);
+                pair<vector<int>, int> k;
+                k.first = vector<int>(i % 2, i % 3);
+                k.second = i % 2;
+                m[k] += 1;
+            }
+            cout << s.size() << m.size() << ' ';
+            pair<vector<int>, int> e;
+            cout << m.count(e) << m[e];
+        }""", ["00 00", "33 12", "44 15"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CPP_OUTPUTS))
+def test_cpp_outputs(name):
+    source, expected = CPP_OUTPUTS[name]
+    outcomes = assert_equivalent(source, ["0", "2", "5"])
+    assert [outcome[0] for outcome in outcomes] == expected
+
+
 @pytest.mark.parametrize("source", FAULT_PROGRAMS)
 def test_faults(source):
     (outcome,) = assert_equivalent(source)
-    assert len(outcome) == 2, outcome
+    assert outcome[0] in ("RuntimeFault", "InputExhausted"), outcome
 
 
 IO_PROGRAMS = {

@@ -392,6 +392,69 @@ class TestContainerComparisons:
                   "cout << (a < b) << (a > b); }")
         assert out == "0101" + "101" + "01"
 
+    def test_max_min_of_pairs_and_vectors(self):
+        # C++: max is (a < b) ? b : a, min is (b < a) ? b : a
+        out = run("int main() { pair<int, int> a, b; b.first = 1; "
+                  "a.second = 5; pair<int, int> c = max(a, b), "
+                  "d = min(a, b); cout << c.first << c.second << d.first "
+                  "<< d.second; }")
+        assert out == "1005"
+        out = run("int main() { vector<int> a(2, 1), b(3, 0), p(3, 1); "
+                  "cout << max(a, b).size() << min(a, b).size() "
+                  "<< max(a, p).size() << min(a, p).size(); }")
+        assert out == "2332"
+
+    def test_max_min_of_nested_vectors(self):
+        out = run("int main() { vector<vector<int>> g(2, vector<int>(2, 1)),"
+                  " h(2, vector<int>(2, 1)); h[1][1] = 0; "
+                  "cout << max(g, h)[1][1] << min(g, h)[1][1]; }")
+        assert out == "10"
+
+    def test_max_min_return_a_copy(self):
+        # C++ copies the returned reference into c; b is untouched.
+        out = run("int main() { vector<int> a(2, 1), b(2, 2); "
+                  "vector<int> c = max(a, b); c[0] = 5; c.push_back(7); "
+                  "cout << b[0] << b.size() << c[0] << c.size(); }")
+        assert out == "2253"
+
+    def test_max_min_charge_as_less_than_does(self):
+        def cycles(statement, fill_b):
+            return Interpreter(parse(
+                "int main() { vector<int> a(10, 1), b(10, %d); %s; }"
+                % (fill_b, statement))).run("").cycles
+
+        for fill_b in (1, 2):
+            assert cycles("max(a, b)", fill_b) == cycles("a < b", fill_b)
+            assert cycles("min(a, b)", fill_b) == cycles("b < a", fill_b)
+        assert cycles("max(a, b)", 1) - cycles("max(a, b)", 2) \
+            == 9 * CostModel().compare
+
+    def test_map_and_set_keys_compare_by_value(self):
+        out = run("int main() { vector<int> a(2, 1), b(2, 1); "
+                  "map<vector<int>, int> m; m[a] = 1; m[b] = 2; "
+                  "set<vector<int>> s; s.insert(a); s.insert(b); "
+                  "cout << m.size() << s.size() << m[a] << s.count(b); "
+                  "a.push_back(3); cout << s.count(a) << m.count(a); "
+                  "s.erase(b); cout << s.size(); }")
+        assert out == "1121" + "00" + "0"
+        out = run("int main() { map<pair<int, vector<int>>, int> m; "
+                  "pair<int, vector<int>> p, q; m[p] = 1; m[q] = 2; "
+                  "cout << m.size() << m[p]; }")
+        assert out == "12"
+
+    def test_nested_keys_compare_by_value(self):
+        out = run("int main() { set<vector<vector<int>>> s; "
+                  "vector<vector<int>> g(2, vector<int>(1, 3)), "
+                  "h(2, vector<int>(1, 3)); s.insert(g); s.insert(h); "
+                  "cout << s.size(); h[0][0] = 4; s.insert(h); "
+                  "cout << s.size() << s.count(g); }")
+        assert out == "1" + "21"
+        out = run("int main() { map<pair<vector<int>, int>, int> m; "
+                  "pair<vector<int>, int> p, q; p.first.push_back(1); "
+                  "q.first.push_back(1); m[p] = 3; m[q] += 4; "
+                  "q.second = 1; cout << m.size() << m[p] << m.count(q); }")
+        assert out == "170"
+
     @pytest.mark.parametrize("source", [
         "int main() { set<int> s, t; cout << (s == t); }",
         "int main() { vector<int> v; cout << (v == 1); }",
@@ -401,6 +464,11 @@ class TestContainerComparisons:
         "int main() { pair<int, int> p; cout << (p == 1); }",
         "int main() { pair<int, set<int>> p, q; cout << (p < q); }",
         "int main() { vector<set<int>> a(2); sort(a.begin(), a.end()); }",
+        "int main() { pair<int, int> p; max(p, 1); }",
+        "int main() { vector<int> v; set<int> s; min(v, s); }",
+        "int main() { set<int> s, t; max(s, t); }",
+        "int main() { vector<int> v; pair<int, int> p; max(v, p); }",
+        "int main() { vector<int> v; cout << min(1, v).size(); }",
     ])
     def test_other_container_comparisons_fault(self, source):
         with pytest.raises(RuntimeFault, match="cannot compare"):

@@ -120,7 +120,7 @@ class TestMatmulGradients:
 
 
 class TestNonlinearityGradients:
-    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "exp"])
+    @pytest.mark.parametrize("op", ["tanh", "sigmoid"])
     def test_smooth_ops(self, op):
         a = Tensor(rand((3, 3)), requires_grad=True)
         check_gradients(lambda: getattr(a, op)().sum(), [a])
@@ -128,10 +128,6 @@ class TestNonlinearityGradients:
     def test_relu_away_from_kink(self):
         a = Tensor(rand((10,)) + 5.0, requires_grad=True)
         check_gradients(lambda: a.relu().sum(), [a])
-
-    def test_log(self):
-        a = Tensor(np.abs(rand((4,))) + 1.0, requires_grad=True)
-        check_gradients(lambda: a.log().sum(), [a])
 
     def test_sigmoid_extreme_values_stable(self):
         a = Tensor([-800.0, 800.0])
