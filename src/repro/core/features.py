@@ -2,11 +2,16 @@
 
 :class:`TreeFeaturizer` runs the full frontend (parse -> simplify ->
 flatten -> vocabulary encoding) and precomputes the evaluation schedule
-for the tree-LSTM and the normalized adjacency for the GCN. Featurized
-trees are cached by source text: the corpus pairs reuse the same
-submissions many times. Tree-LSTM schedules are additionally memoized
-on tree *structure* (:func:`repro.nn.treelstm.schedule_for`), so two
-submissions with the same AST shape share one schedule object.
+for the tree-LSTM, which also holds the tree's edge list as int arrays.
+The GCN's dense normalized adjacency is *not* precomputed: it costs
+``N² × 8`` bytes (276 MiB for a 6,000-node tree) and only the GCN reads
+it, so :attr:`TreeFeatures.adjacency` builds it from the edge list on
+first read and keeps it. Training, evaluation and serving a tree-LSTM
+never build one. Featurized trees are cached by source text: the corpus
+pairs reuse the same submissions many times. Tree-LSTM schedules are
+additionally memoized on tree *structure*
+(:func:`repro.nn.treelstm.schedule_for`), so two submissions with the
+same AST shape share one schedule object.
 
 :func:`pack_forest` fuses a mini-batch of featurized trees into one
 :class:`ForestFeatures` — concatenated node IDs plus a merged
@@ -16,7 +21,7 @@ single level-batched pass over the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,14 +39,25 @@ class TreeFeatures:
     """Everything the encoders need about one submission's AST."""
 
     node_ids: np.ndarray          # (n,) vocabulary IDs
-    schedule: TreeSchedule        # tree-LSTM evaluation order
-    adjacency: np.ndarray         # (n, n) normalized, for the GCN
+    schedule: TreeSchedule        # tree-LSTM evaluation order + edges
     categories: list[str]         # Fig. 7 colour groups
     kinds: list[str]
+    _adjacency: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
         return int(self.node_ids.shape[0])
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """(n, n) normalized adjacency for the GCN, built from the
+        schedule's edge list on first read and kept on this object."""
+        if self._adjacency is None:
+            edges = np.stack((self.schedule.edge_parent,
+                              self.schedule.edge_child), axis=1)
+            self._adjacency = normalized_adjacency(self.num_nodes, edges)
+        return self._adjacency
 
     @property
     def root(self) -> int:
@@ -111,7 +127,6 @@ class TreeFeaturizer:
             node_ids=np.asarray(self.vocab.encode_all(flat.kinds),
                                 dtype=np.int64),
             schedule=schedule_for(flat.children),
-            adjacency=normalized_adjacency(flat.num_nodes, flat.edges),
             categories=flat.categories,
             kinds=flat.kinds,
         )

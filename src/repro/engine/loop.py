@@ -178,19 +178,22 @@ class Engine:
         return bce_with_logits(logits, targets)
 
     def _release_param_grads(self) -> None:
-        """Return parameter gradients to the backend pool and clear them.
+        """Return parameter gradients to the backend pool, clear them,
+        and trim the pool to the last step's working set.
 
         Equivalent to ``optimizer.zero_grad()`` (grads become ``None``)
         except the arrays are recycled: the next backward's
         ``_accumulate`` calls draw zeroed buffers from the pool instead
-        of allocating, so steady-state training allocates no gradient
-        memory at all.
+        of allocating. The trim drops every buffer the last step did not
+        take, such as an earlier batch's ``(K, 2h)`` tree-LSTM block
+        gradients, so the pool never outgrows one step.
         """
-        pool = nn_backend.active()
+        backend = nn_backend.active()
         for p in self.optimizer.parameters:
             if p.grad is not None:
-                pool.release(p.grad)
+                backend.release(p.grad)
                 p.grad = None
+        backend.pool.trim()
 
     def _accumulate_gradients(self, batch) -> float:
         """Backward the batch objective into parameter grads; return the

@@ -34,9 +34,10 @@ from ..lang.cpp_ast import (
 from .cost import CostModel
 from .errors import InputExhausted, RuntimeFault, TimeLimitExceeded
 from .values import (
-    Cell, IterRef, MapVal, NUMERIC_BASES, PairVal, PriorityQueueVal,
-    QueueVal, SetVal, StackVal, VectorVal, container_size, copy_value,
-    deep_element_count, default_value, truthy,
+    CONTAINERS, Cell, IterRef, MapVal, NUMERIC_BASES, PairVal,
+    PriorityQueueVal, QueueVal, SetVal, StackVal, VectorVal,
+    container_size, copy_value, deep_element_count, default_value,
+    sort_key, truthy,
 )
 
 __all__ = ["CompiledProgram", "ExecutionResult", "Interpreter",
@@ -287,11 +288,8 @@ def _comparable(left, right):
     return left, right
 
 
-#: Container values; comparing one is defined only between two vectors.
-_CONTAINERS = frozenset({VectorVal, MapVal, SetVal, QueueVal, StackVal,
-                         PriorityQueueVal})
 #: Operand types a comparison takes apart: pairs and containers.
-_COMPOSITES = _CONTAINERS | {PairVal}
+_COMPOSITES = CONTAINERS | {PairVal}
 
 
 def _composite_relation(st, op: str, left, right, cost: int) -> bool:
@@ -323,7 +321,7 @@ def _values_equal(st, left, right, cost: int) -> bool:
             raise _mismatch(left, right)
         return (_values_equal(st, left.first, right.first, cost)
                 and _values_equal(st, left.second, right.second, cost))
-    if type(left) in _CONTAINERS or type(right) in _CONTAINERS:
+    if type(left) in CONTAINERS or type(right) in CONTAINERS:
         a_items, b_items = _vector_items(left, right)
         if len(a_items) != len(b_items):
             return False
@@ -343,7 +341,7 @@ def _value_order(st, left, right, cost: int) -> int:
             raise _mismatch(left, right)
         return (_value_order(st, left.first, right.first, cost)
                 or _value_order(st, left.second, right.second, cost))
-    if type(left) in _CONTAINERS or type(right) in _CONTAINERS:
+    if type(left) in CONTAINERS or type(right) in CONTAINERS:
         a_items, b_items = _vector_items(left, right)
         for a, b in zip(a_items, b_items):
             _charge(st, cost)
@@ -353,20 +351,6 @@ def _value_order(st, left, right, cost: int) -> int:
         return (len(a_items) > len(b_items)) - (len(a_items) < len(b_items))
     left, right = _comparable(left, right)
     return (left > right) - (left < right)
-
-
-def _sort_key(value):
-    """``sort``'s key for one element: a pair as a tuple and a vector as
-    a list of their members' keys, so rows order lexicographically as
-    ``std::vector`` does. ``sort`` charges a flat cost, so the key
-    charges nothing."""
-    if type(value) is PairVal:
-        return (_sort_key(value.first), _sort_key(value.second))
-    if type(value) is VectorVal:
-        return [_sort_key(item) for item in value.items]
-    if type(value) in _CONTAINERS:
-        raise _mismatch(value, value)
-    return value
 
 
 def _bitwise(op: str, left: int, right: int) -> int:
@@ -866,11 +850,11 @@ class _Runtime:
         _charge(st, self.cost.sort_cost(max(0, segment_len)))
         if first.reversed:
             # sort(v.rbegin(), v.rend()) -> descending order
-            items = sorted(container.items, key=_sort_key, reverse=True)
+            items = sorted(container.items, key=sort_key, reverse=True)
             container.items[:] = items
         else:
             container.items[lo:hi] = sorted(container.items[lo:hi],
-                                            key=_sort_key)
+                                            key=sort_key)
         return None
 
     def _reverse(self, st, args: list):

@@ -21,7 +21,7 @@ from .errors import RuntimeFault
 __all__ = ["Cell", "VectorVal", "MapVal", "SetVal", "PairVal", "QueueVal",
            "StackVal", "PriorityQueueVal", "IterRef", "default_value",
            "copy_value", "container_size", "deep_element_count",
-           "truthy", "NUMERIC_BASES"]
+           "truthy", "sort_key", "NUMERIC_BASES", "CONTAINERS"]
 
 NUMERIC_BASES = {
     "int", "long", "long long", "unsigned", "unsigned long long", "short",
@@ -150,15 +150,39 @@ class PriorityQueueVal:
 
 
 class _Neg:
-    """Order-reversing wrapper so heapq (a min-heap) acts as a max-heap."""
+    """Heap entry ordered by C++'s ``operator<`` reversed (its
+    :func:`sort_key`, taken at push), so heapq (a min-heap) acts as a
+    max-heap."""
 
-    __slots__ = ("value",)
+    __slots__ = ("key", "value")
 
     def __init__(self, value):
+        self.key = sort_key(value)
         self.value = value
 
     def __lt__(self, other) -> bool:
-        return other.value < self.value
+        return other.key < self.key
+
+
+#: Container values; comparing one is defined only between two vectors.
+CONTAINERS = frozenset({VectorVal, MapVal, SetVal, QueueVal, StackVal,
+                        PriorityQueueVal})
+
+
+def sort_key(value):
+    """C++'s ``operator<`` as a key: a pair as a tuple and a vector as a
+    list of their members' keys, so rows order lexicographically as
+    ``std::vector`` does; any other container faults. ``sort`` and
+    ``priority_queue`` order by it and charge flat costs, so the key
+    charges nothing."""
+    if type(value) is PairVal:
+        return (sort_key(value.first), sort_key(value.second))
+    if type(value) is VectorVal:
+        return [sort_key(item) for item in value.items]
+    if type(value) in CONTAINERS:
+        name = type(value).__name__
+        raise RuntimeFault(f"cannot compare {name} with {name}")
+    return value
 
 
 @dataclass

@@ -36,8 +36,11 @@ Backends also own a bounded **gradient-buffer pool**: the training
 engine returns parameter-gradient and freed intermediate-gradient
 arrays after each optimizer step, and ``Tensor._accumulate`` draws its
 zeroed accumulators from the pool instead of a fresh ``np.zeros`` per
-tensor per step (shapes repeat exactly across steps, so the hit rate
-is ~100% after the first batch).
+tensor per step. Parameter- and table-shaped gradients repeat every
+step and keep recycling; the tree-LSTM's per-pass ``(K, 2h)`` block
+gradients take a new ``K`` (the batch's subtree-class count) almost
+every step, so the engine calls :meth:`BufferPool.trim` once per step
+to drop what the last step did not use.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class BufferPool:
     ``give`` returns one for reuse. The pool is an allocation cache,
     not a correctness feature: dropping every buffer on the floor is
     always safe, so ``give`` silently discards when a key's free-list
-    or the total byte budget is full.
+    or the total byte budget is full, and ``trim`` drops whatever the
+    last step did not take.
     """
 
     def __init__(self, max_per_key: int = 16,
@@ -86,6 +90,7 @@ class BufferPool:
         self.max_per_key = max_per_key
         self.max_bytes = max_bytes
         self._free: dict[tuple, list[np.ndarray]] = {}
+        self._taken: dict[tuple, int] = {}    # takes per key since trim
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -97,8 +102,10 @@ class BufferPool:
         return (shape, np.dtype(dtype).str)
 
     def take(self, shape: tuple, dtype) -> np.ndarray:
+        key = self._key(shape, dtype)
         with self._lock:
-            stack = self._free.get(self._key(shape, dtype))
+            self._taken[key] = self._taken.get(key, 0) + 1
+            stack = self._free.get(key)
             if stack:
                 buf = stack.pop()
                 self._bytes -= buf.nbytes
@@ -121,6 +128,26 @@ class BufferPool:
             stack.append(array)
             self._bytes += array.nbytes
             self.recycled += 1
+
+    def trim(self) -> None:
+        """Bound the pool to the working set of the last step: keep, per
+        key, at most as many buffers as were taken since the previous
+        trim, and drop the rest.
+
+        Called once per training step, after the step's gradients are
+        released, this leaves the pool holding no more bytes than the
+        step took: a shape the step did not take (an earlier batch's
+        ``(K, 2h)`` block gradient) is dropped, a recurring one
+        (parameter-shaped) keeps recycling.
+        """
+        with self._lock:
+            kept = {key: stack[:self._taken[key]]
+                    for key, stack in self._free.items()
+                    if key in self._taken}
+            self._free = kept
+            self._bytes = sum(buf.nbytes for stack in kept.values()
+                              for buf in stack)
+            self._taken.clear()
 
     def clear(self) -> None:
         with self._lock:

@@ -6,7 +6,8 @@ information between *all* neighbours (parent and children alike), which
 is exactly the distinction the paper draws — GCN lacks the parent/child
 asymmetry that the tree-LSTM exploits.
 
-The adjacency is normalized once per graph as ``D^-1/2 (A + I) D^-1/2``.
+The adjacency is normalized once per graph as ``D^-1/2 (A + I) D^-1/2``,
+on the GCN's first read of a featurized tree's ``adjacency``.
 Mean pooling over the node states gives the code vector (the paper's
 "wrapper layer that combines information from an internal node's
 directly connected nodes" followed by pooling into the classifier).
@@ -23,18 +24,23 @@ from .tensor import Tensor
 __all__ = ["normalized_adjacency", "GraphConv", "GCN"]
 
 
-def normalized_adjacency(num_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
+def normalized_adjacency(num_nodes: int, edges) -> np.ndarray:
     """Dense symmetric-normalized adjacency with self-loops.
 
-    ASTs in this pipeline are a few hundred nodes, so a dense matrix is
-    both simpler and faster than sparse formats at this scale.
+    ``edges`` is a sequence of ``(a, b)`` pairs or an ``(E, 2)`` int
+    array. ASTs in this pipeline are a few hundred nodes, so a dense
+    matrix is both simpler and faster than sparse formats at this
+    scale; it costs ``num_nodes² × 8`` bytes, so only the GCN builds it
+    (see :attr:`repro.core.features.TreeFeatures.adjacency`).
     """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    outside = ((edges < 0) | (edges >= num_nodes)).any(axis=1)
+    if outside.any():
+        a, b = edges[np.argmax(outside)]
+        raise ValueError(f"edge ({a}, {b}) out of range for {num_nodes} nodes")
     adj = np.eye(num_nodes)
-    for a, b in edges:
-        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-            raise ValueError(f"edge ({a}, {b}) out of range for {num_nodes} nodes")
-        adj[a, b] = 1.0
-        adj[b, a] = 1.0
+    adj[edges[:, 0], edges[:, 1]] = 1.0
+    adj[edges[:, 1], edges[:, 0]] = 1.0
     deg = adj.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
     return adj * inv_sqrt[:, None] * inv_sqrt[None, :]

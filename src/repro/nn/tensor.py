@@ -143,9 +143,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            # Pooled zeroed buffer: gradient shapes repeat exactly across
-            # training steps, so after the first batch this is a recycled
-            # array, not an allocation.
+            # Pooled zeroed buffer: parameter-shaped gradients recur
+            # every training step, so after the first batch they are
+            # recycled arrays; a per-batch shape such as a tree-LSTM
+            # pass's (K, 2h) block is mostly a fresh allocation.
             self.grad = _backend.active().grad_buffer(self.data.shape,
                                                       self.data.dtype)
         self.grad += grad

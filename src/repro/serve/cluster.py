@@ -67,9 +67,11 @@ class _Router:
     """source text -> shard index, via the canonical-AST digest.
 
     Only the *frontend* runs here (parse -> simplify -> vocab IDs from
-    the checkpoint header — no weights, no encoder), and results are
-    memoized on raw text, so routing cost per repeated source is one
-    dict lookup.
+    the checkpoint header — no weights, no encoder, no dense
+    adjacency), and the shard is memoized on the raw text's digest, so
+    routing cost per repeated source is one dict lookup. That memo
+    answers every repeat, so the featurizer keeps no cache of its own:
+    a tree is featurized once, hashed and dropped.
     """
 
     def __init__(self, checkpoint_path, n_shards: int,
@@ -79,8 +81,8 @@ class _Router:
 
         meta = read_checkpoint_meta(checkpoint_path)
         vocab = NodeVocab.from_payload(meta["vocab"])
-        self._featurizer = TreeFeaturizer(vocab=vocab)
-        self._lock = threading.Lock()   # featurizer memo is not thread-safe
+        self._featurizer = TreeFeaturizer(vocab=vocab, cache_size=0)
+        self._lock = threading.Lock()   # the schedule memo is not thread-safe
         self._memo = LruCache(memo_size)
         self.n_shards = n_shards
         self._rr = 0

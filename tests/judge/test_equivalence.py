@@ -551,6 +551,9 @@ FAULT_PROGRAMS = [
     "int main() { vector<int> v; set<int> s; min(v, s); }",
     "int main() { set<int> s, t; max(s, t); }",
     "int main() { vector<int> v; pair<int, int> p; max(v, p); }",
+    "int main() { priority_queue<set<int>> q; set<int> s; q.push(s); }",
+    "int main() { priority_queue<vector<map<int, int>>> q; "
+    "vector<map<int, int>> v(1); q.push(v); }",
 ]
 
 
@@ -698,6 +701,67 @@ CPP_OUTPUTS = {
             s.erase(e);
             cout << s.size() << m.size();
         }""", ["000 000 01", "334 113 23", "556 1118 45"]),
+    "dijkstra_over_pairs": ("""
+        int main() {
+            int n; cin >> n;
+            vector<vector<pair<int, int>>> adj(n + 1);
+            for (int i = 0; i < n; i++) {
+                pair<int, int> next;
+                next.first = i + 1;
+                next.second = (i * 7) % 5 + 1;
+                adj[i].push_back(next);
+                if (i + 2 <= n) {
+                    pair<int, int> skip;
+                    skip.first = i + 2;
+                    skip.second = 4;
+                    adj[i].push_back(skip);
+                }
+            }
+            vector<int> dist(n + 1, 1000000);
+            dist[0] = 0;
+            priority_queue<pair<int, int>> pq;
+            pair<int, int> start;
+            pq.push(start);
+            int pops = 0;
+            while (!pq.empty()) {
+                pair<int, int> top = pq.top();
+                pq.pop();
+                pops++;
+                int d = -top.first, u = top.second;
+                if (d > dist[u]) continue;
+                for (int k = 0; k < adj[u].size(); k++) {
+                    int v = adj[u][k].first, w = adj[u][k].second;
+                    if (dist[u] + w < dist[v]) {
+                        dist[v] = dist[u] + w;
+                        pair<int, int> entry;
+                        entry.first = -dist[v];
+                        entry.second = v;
+                        pq.push(entry);
+                    }
+                }
+            }
+            for (int i = 0; i <= n; i++) cout << dist[i] << ' ';
+            cout << pops;
+        }""", ["0 1", "0 1 4 3", "0 1 4 5 7 9 7"]),
+    "priority_queue_of_vectors": ("""
+        int main() {
+            int n; cin >> n;
+            priority_queue<vector<int>> pq;
+            for (int i = 0; i < n; i++) {
+                vector<int> row;
+                for (int j = 0; j <= i % 3; j++) row.push_back((i * 7 + j * 3) % 5);
+                pq.push(row);
+            }
+            vector<int> e;
+            pq.push(e);
+            while (!pq.empty()) {
+                vector<int> r = pq.top();
+                pq.pop();
+                cout << r.size();
+                for (int j = 0; j < r.size(); j++) cout << r[j];
+                cout << ' ';
+            }
+        }""", ["0 ", "220 10 0 ", "3420 231 220 11 10 0 "]),
     "nested_keys_by_value": ("""
         int main() {
             int n; cin >> n;

@@ -429,6 +429,23 @@ class TestContainerComparisons:
         assert cycles("max(a, b)", 1) - cycles("max(a, b)", 2) \
             == 9 * CostModel().compare
 
+    def test_priority_queue_of_pairs(self):
+        # Dijkstra's idiom: a max-heap of (-distance, node) pairs pops
+        # the nearest node first, ties broken by the larger node.
+        out = run("int main() { priority_queue<pair<int, int>> q; "
+                  "for (int i = 0; i < 4; i++) { pair<int, int> p; "
+                  "p.first = -(i % 2); p.second = i; q.push(p); } "
+                  "while (!q.empty()) { cout << q.top().first "
+                  "<< q.top().second << ' '; q.pop(); } }")
+        assert out == "02 00 -13 -11 "
+
+    def test_priority_queue_of_vectors(self):
+        out = run("int main() { priority_queue<vector<int>> q; "
+                  "vector<int> a(2, 1), b(3, 1), c(1, 2), e; b[2] = 0; "
+                  "q.push(a); q.push(e); q.push(c); q.push(b); "
+                  "while (!q.empty()) { cout << q.top().size(); q.pop(); } }")
+        assert out == "1320"
+
     def test_map_and_set_keys_compare_by_value(self):
         out = run("int main() { vector<int> a(2, 1), b(2, 1); "
                   "map<vector<int>, int> m; m[a] = 1; m[b] = 2; "
@@ -464,6 +481,9 @@ class TestContainerComparisons:
         "int main() { pair<int, int> p; cout << (p == 1); }",
         "int main() { pair<int, set<int>> p, q; cout << (p < q); }",
         "int main() { vector<set<int>> a(2); sort(a.begin(), a.end()); }",
+        "int main() { priority_queue<set<int>> q; set<int> s; q.push(s); }",
+        "int main() { priority_queue<pair<int, map<int, int>>> q; "
+        "pair<int, map<int, int>> p; q.push(p); }",
         "int main() { pair<int, int> p; max(p, 1); }",
         "int main() { vector<int> v; set<int> s; min(v, s); }",
         "int main() { set<int> s, t; max(s, t); }",

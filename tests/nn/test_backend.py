@@ -138,6 +138,31 @@ class TestBufferPool:
         pool.give(np.zeros(10))            # 80 bytes: kept
         assert pool.stats()["held_bytes"] == 80
 
+    def test_trim_drops_shapes_not_taken_since_the_last_trim(self):
+        pool = BufferPool()
+        kept = pool.take((3,), np.float64)
+        pool.give(kept)
+        pool.give(np.zeros(5))             # a shape nobody took
+        pool.trim()
+        assert pool.stats()["held_buffers"] == 1
+        assert pool.take((3,), np.float64) is kept     # it survived
+        pool.give(kept)
+        pool.trim()                        # taken since the last trim
+        assert pool.stats()["held_bytes"] == kept.nbytes
+        pool.trim()                        # not taken since: dropped
+        assert pool.stats()["held_bytes"] == 0
+        assert pool.stats()["held_buffers"] == 0
+
+    def test_trim_keeps_no_more_buffers_than_were_taken(self):
+        pool = BufferPool()
+        taken = [pool.take((2, 2), np.float32) for _ in range(2)]
+        for buf in taken + [np.zeros((2, 2), np.float32)]:
+            pool.give(buf)
+        assert pool.stats()["held_buffers"] == 3
+        pool.trim()
+        assert pool.stats()["held_buffers"] == 2
+        assert pool.stats()["held_bytes"] == 2 * taken[0].nbytes
+
     def test_clear(self):
         pool = BufferPool()
         pool.give(np.zeros(8))

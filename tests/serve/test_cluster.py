@@ -235,6 +235,27 @@ class TestShardAffinity:
         for shard in set(shards):
             assert dispatched[shard] > 0
 
+    def test_router_keeps_no_trees_and_builds_no_adjacency(
+            self, checkpoint, monkeypatch):
+        # The shard memo answers every repeat, so the router's
+        # featurizer caches nothing; routing never needs the GCN's
+        # dense adjacency.
+        from repro.core import features
+        from repro.serve.cluster import _Router
+
+        def refuse(num_nodes, edges):
+            raise AssertionError("the router built a dense adjacency")
+
+        monkeypatch.setattr(features, "normalized_adjacency", refuse)
+        router = _Router(checkpoint, n_shards=2)
+        sources = variants(4)
+        shards = [router.shard_for({"op": "embed", "source": s})
+                  for s in sources]
+        assert [router.shard_for({"op": "compare", "first": s,
+                                  "second": sources[0]})
+                for s in sources] == shards
+        assert router._featurizer._cache == {}
+
 
 class TestOverloadShedding:
     def test_past_high_water_sheds_with_structured_reply(self, checkpoint,

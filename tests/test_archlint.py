@@ -123,6 +123,28 @@ def build(src, out):
         rules = {v.rule for v in archlint.scan(root)}
         assert "native-compile" in rules
 
+    def test_eager_adjacency_in_the_featurizer_is_caught(self, tmp_path):
+        # the pre-lazy featurizer: every tree paid for the N×N matrix
+        root = self.seed(tmp_path, "src/repro/core/features.py", """
+from ..nn.gcn import normalized_adjacency
+
+class TreeFeaturizer:
+    def featurize(self, flat):
+        return normalized_adjacency(flat.num_nodes, flat.edges)
+""")
+        found = [(v.rule, v.line) for v in archlint.scan(root)]
+        assert found == [("dense-adjacency", 6)]
+
+    def test_dense_adjacency_in_the_router_is_caught(self, tmp_path):
+        root = self.seed(tmp_path, "src/repro/serve/route.py", """
+from ..nn import gcn
+
+def shard(features):
+    return int(gcn.normalized_adjacency(features.num_nodes, []).sum())
+""")
+        rules = {v.rule for v in archlint.scan(root)}
+        assert "dense-adjacency" in rules
+
     def test_cli_exit_code_is_one_on_violation(self, tmp_path, capsys):
         root = self.seed(tmp_path, "src/repro/driver.py",
                          "def f(o):\n    o.opt.step()\n")
@@ -153,6 +175,31 @@ def segment_sum(data, starts):
     return np.add.reduceat(data, starts, axis=0)
 """)
         assert archlint.scan(root) == []
+
+    def test_gcn_and_the_lazy_adjacency_may_build_it(self, tmp_path):
+        self.seed(tmp_path, "src/repro/nn/gcn.py", """
+def normalized_adjacency(num_nodes, edges):
+    return None
+
+def demo():
+    return normalized_adjacency(2, [(0, 1)])
+""")
+        root = self.seed(tmp_path, "src/repro/core/features.py", """
+from ..nn.gcn import normalized_adjacency
+
+class TreeFeatures:
+    @property
+    def adjacency(self):
+        return normalized_adjacency(self.num_nodes, self.edges)
+
+class Other:
+    @property
+    def adjacency(self):
+        return normalized_adjacency(self.num_nodes, self.edges)
+""")
+        found = [(v.path, v.rule, v.line) for v in archlint.scan(root)]
+        assert found == [("src/repro/core/features.py", "dense-adjacency",
+                          12)]
 
     def test_allow_sleep_pragma_is_honoured(self, tmp_path):
         root = self.seed(tmp_path, "tests/serve/test_poll.py", """

@@ -43,6 +43,13 @@ it) and fails CI on:
     build cache, an ABI seam and a no-compiler fallback with it, which
     must be bought with a measured win on the real workload. A
     deliberate exception carries ``# archlint: allow-native-compile``.
+``dense-adjacency``
+    In ``src/``, a ``normalized_adjacency(`` call anywhere but
+    ``src/repro/nn/gcn.py`` and the lazy ``TreeFeatures.adjacency``
+    property in ``src/repro/core/features.py``. The dense N×N matrix
+    costs ``N² × 8`` bytes and only the GCN reads it: built eagerly by
+    the featurizer, every tree-LSTM run and the serving router paid
+    for it (276 MiB for one 6,000-node tree).
 
 Usage::
 
@@ -64,7 +71,7 @@ __all__ = ["Violation", "check_source", "scan", "main", "RULES"]
 
 RULES = ("training-loop-outside-engine", "kernel-outside-backend",
          "sleep-in-serve-tests", "print-outside-obs",
-         "adhoc-counter-dict", "native-compile")
+         "adhoc-counter-dict", "native-compile", "dense-adjacency")
 
 #: the one file allowed to drive optimizer steps and epoch loops
 _ENGINE_LOOP = "src/repro/engine/loop.py"
@@ -84,6 +91,11 @@ _COMPILER_LITERALS = frozenset({"cc", "gcc", "clang",
                                 "-shared", "-fPIC", "-fopenmp"})
 #: callable names that load a shared object
 _DLOPEN_NAMES = frozenset({"CDLL", "LoadLibrary", "WinDLL", "PyDLL"})
+#: the dense GCN adjacency builder's home, and the one reader allowed to
+#: call it: (file, class, method) of the lazy ``TreeFeatures.adjacency``
+_ADJACENCY_HOME = "src/repro/nn/gcn.py"
+_ADJACENCY_READER = ("src/repro/core/features.py", "TreeFeatures",
+                     "adjacency")
 _PRAGMA = "# archlint: allow-"
 
 
@@ -171,18 +183,37 @@ def _is_dlopen_call(call: ast.Call) -> bool:
     return isinstance(func, ast.Name) and func.id in _DLOPEN_NAMES
 
 
+def _call_name(call: ast.Call) -> str:
+    """The called name: ``f`` for ``f(...)`` and ``a.b.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
 def _is_compiler_subprocess(call: ast.Call) -> bool:
     """A subprocess-style call whose arguments carry compiler markers
     (``["cc", "-shared", ...]``) — i.e. code that shells out to a C
     compiler."""
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else "")
+    name = _call_name(call)
     if name not in ("run", "call", "check_call", "check_output", "Popen"):
         return False
     return any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
                and sub.value in _COMPILER_LITERALS
                for sub in ast.walk(call))
+
+
+def _lazy_adjacency_calls(rel: str, tree: ast.Module) -> set[int]:
+    """``id``s of the call nodes inside the lazy ``TreeFeatures.adjacency``
+    (none outside its file)."""
+    path, cls, method = _ADJACENCY_READER
+    if rel != path:
+        return set()
+    return {id(sub) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == method
+            for sub in ast.walk(item)}
 
 
 def _allowed(lines: list[str], lineno: int, rule_suffix: str) -> bool:
@@ -204,6 +235,7 @@ def check_source(rel_path: str, source: str) -> list[Violation]:
         return [Violation("syntax-error", rel, error.lineno or 0,
                           str(error))]
     lines = source.splitlines()
+    lazy_adjacency = _lazy_adjacency_calls(rel, tree)
     violations: list[Violation] = []
     for node in ast.walk(tree):
         if in_src and rel != _ENGINE_LOOP:
@@ -257,6 +289,14 @@ def check_source(rel_path: str, source: str) -> list[Violation]:
                     "in src/; the package is pure Python on NumPy (or "
                     "annotate with "
                     "'# archlint: allow-native-compile <reason>')"))
+        if (in_src and rel != _ADJACENCY_HOME
+                and isinstance(node, ast.Call)
+                and _call_name(node) == "normalized_adjacency"
+                and id(node) not in lazy_adjacency):
+            violations.append(Violation(
+                "dense-adjacency", rel, node.lineno,
+                "dense N×N adjacency built outside repro.nn.gcn and the "
+                "lazy TreeFeatures.adjacency; only the GCN reads it"))
         if in_serve_tests:
             if (isinstance(node, ast.Call) and _is_sleep_call(node)
                     and not _allowed(lines, node.lineno, "sleep")):
