@@ -56,12 +56,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import Collector, SubmissionDatabase, family_for_tag, mp_families
-from .core import (
-    ENCODER_KINDS, ExperimentConfig, PerformanceGate, TrainConfig,
-    run_experiment,
-)
-from .viz import table
+from .core import ENCODER_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -223,6 +218,8 @@ def _default_lint_baseline():
 
 
 def _families_for(tags, scale):
+    from .corpus import family_for_tag, mp_families
+
     families = []
     for tag in tags:
         if tag.upper() == "MP":
@@ -233,6 +230,8 @@ def _families_for(tags, scale):
 
 
 def _cmd_collect(args) -> int:
+    from .corpus import Collector
+
     families = _families_for(args.tags, args.scale)
     collector = Collector(
         seed=args.seed, lint=args.lint,
@@ -248,6 +247,7 @@ def _cmd_collect(args) -> int:
 def _cmd_lint_corpus(args) -> int:
     import numpy as np
 
+    from .corpus import SubmissionDatabase
     from .corpus.styles import Style
     from .lang.analysis import LintBaseline, lint_source
     from .corpus.registry import TABLE1_TAGS
@@ -300,6 +300,9 @@ def _cmd_lint_corpus(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .corpus import SubmissionDatabase
+    from .viz import table
+
     db = SubmissionDatabase.load(args.db)
     rows = [[s.tag, s.count, f"{s.min_ms:.0f}", f"{s.median_ms:.0f}",
              f"{s.max_ms:.0f}", f"{s.stddev_ms:.0f}"]
@@ -317,25 +320,33 @@ def _first(*values):
     return None
 
 
-def _apply_backend(args) -> None:
-    """Activate ``--backend`` for this process *and* its children.
+def _apply_backend(args, activate: bool = True) -> None:
+    """Select ``--backend`` for this process *and* its children.
 
-    The env var is set as well so spawned cluster workers (which
-    inherit the environment) run the same backend as the front door.
+    The env var is set so spawned cluster workers (which inherit the
+    environment) run the same backend as the front door. The name is
+    checked against :mod:`repro.nn.policy`, which loads no numpy, so a
+    cluster front door (``activate=False``) stays numpy-free.
     """
     name = getattr(args, "backend", None)
     if not name:
         return
-    from .nn import backend as nn_backend
+    from .nn.policy import check_backend
 
     try:
-        nn_backend.set_backend(name)
+        check_backend(name)
     except ValueError as error:
         raise SystemExit(f"--backend: {error}")
     os.environ["REPRO_BACKEND"] = name
+    if activate:
+        from .nn import backend as nn_backend
+
+        nn_backend.set_backend(name)
 
 
 def _cmd_train(args) -> int:
+    from .core import ExperimentConfig, TrainConfig, run_experiment
+    from .corpus import SubmissionDatabase
     from .engine import Checkpointing
 
     _apply_backend(args)
@@ -346,7 +357,7 @@ def _cmd_train(args) -> int:
         # TrainConfig/RNG/optimizer state (training section), and the
         # experiment data recipe (extra section). The CLI only re-derives
         # the pair sample, which is deterministic in the stored seed.
-        from .serve.checkpoint import read_checkpoint_meta
+        from .serve.checkpoint_meta import read_checkpoint_meta
 
         meta = read_checkpoint_meta(args.resume)
         if not meta.get("training"):
@@ -443,6 +454,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .core import PerformanceGate
     from .serve.checkpoint import load_checkpoint
 
     _apply_backend(args)
@@ -491,13 +503,15 @@ def _cmd_serve_cluster(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .serve import PredictionService
-    from .serve.protocol import error_reply, handle_request, \
-        request_sources, serve_lines, ERR_BAD_JSON
-
-    _apply_backend(args)
+    # Cluster mode hands off before anything numeric is imported: the
+    # front door only parses and routes (see docs/serving.md).
+    _apply_backend(args, activate=not args.workers)
     if args.workers:
         return _cmd_serve_cluster(args)
+
+    from .serve.protocol import error_reply, handle_request, \
+        request_sources, serve_lines, ERR_BAD_JSON
+    from .serve.service import PredictionService
 
     # The CLI drives the service sequentially, so the batcher runs
     # inline (the latency trigger only matters for concurrent clients

@@ -4,22 +4,33 @@
 assembles encoder F (tree-LSTM or GCN) + classifier C; ``Trainer``
 optimizes BCE over code pairs; ``evaluate``/``pipeline`` implement the
 paper's measurement protocols end to end.
+
+Every name below is imported from its submodule on first access
+(:mod:`repro._lazy`), so importing one of them loads only what it needs.
 """
 
-from .baselines import (
-    AbsoluteRuntimeRegressor, LoopNestingHeuristic, NodeCountHeuristic,
-    WeightedConstructHeuristic, baseline_accuracy,
-)
-from .classifier import PairClassifier
-from .encoders import GcnEncoder, LstmEncoder, TreeLstmEncoder
-from .evaluate import EvalResult, evaluate_on_pairs, sensitivity_curve
-from .features import ForestFeatures, TreeFeatures, TreeFeaturizer, pack_forest
-from .metrics import RocCurve, accuracy, auc, confusion, roc_curve
-from .model import ENCODER_KINDS, ComparativeModel, build_model, model_from_config
-from .pipeline import (
-    ExperimentConfig, ExperimentResult, PerformanceGate, run_experiment,
-)
-from .trainer import TrainConfig, TrainHistory, Trainer
+from .._lazy import lazy_exports
+
+#: The encoder kinds ``build_model`` accepts. Defined here rather than
+#: in :mod:`repro.core.model` so the CLI can offer them as choices
+#: without loading numpy.
+ENCODER_KINDS = ("treelstm", "gcn", "lstm")
+
+__getattr__ = lazy_exports(__name__, {
+    "features": ("TreeFeatures", "TreeFeaturizer", "ForestFeatures",
+                 "pack_forest"),
+    "encoders": ("TreeLstmEncoder", "GcnEncoder", "LstmEncoder"),
+    "classifier": ("PairClassifier",),
+    "model": ("ComparativeModel", "build_model", "model_from_config"),
+    "trainer": ("TrainConfig", "TrainHistory", "Trainer"),
+    "metrics": ("accuracy", "confusion", "RocCurve", "roc_curve", "auc"),
+    "evaluate": ("EvalResult", "evaluate_on_pairs", "sensitivity_curve"),
+    "pipeline": ("ExperimentConfig", "ExperimentResult", "run_experiment",
+                 "PerformanceGate"),
+    "baselines": ("NodeCountHeuristic", "LoopNestingHeuristic",
+                  "WeightedConstructHeuristic", "AbsoluteRuntimeRegressor",
+                  "baseline_accuracy"),
+})
 
 __all__ = [
     "TreeFeatures", "TreeFeaturizer", "ForestFeatures", "pack_forest",

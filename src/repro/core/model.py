@@ -6,14 +6,13 @@ import numpy as np
 
 from ..nn.module import Module
 from ..nn.tensor import Tensor, no_grad
+from . import ENCODER_KINDS
 from .classifier import PairClassifier
 from .encoders import GcnEncoder, LstmEncoder, TreeLstmEncoder
 from .features import TreeFeatures, TreeFeaturizer
 
 __all__ = ["ComparativeModel", "build_model", "model_from_config",
            "ENCODER_KINDS"]
-
-ENCODER_KINDS = ("treelstm", "gcn", "lstm")
 
 
 class ComparativeModel(Module):

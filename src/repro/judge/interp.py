@@ -292,6 +292,13 @@ def _comparable(left, right):
 _COMPOSITES = CONTAINERS | {PairVal}
 
 
+def _by_value(value):
+    """The element a container push stores: a pair or container is
+    copied, as C++ copies it (empty ones too). The caller charges the
+    copy: ``push_back`` per element, adapter pushes nothing."""
+    return copy_value(value) if type(value) in _COMPOSITES else value
+
+
 def _composite_relation(st, op: str, left, right, cost: int) -> bool:
     """``left op right`` with a pair or container operand. Two pairs
     compare member-wise, two vectors as ``std::vector`` does:
@@ -568,8 +575,7 @@ class _Runtime:
             value = args[0]
             if container_size(value):
                 _charge(st, cost.copy_cost(container_size(value)))
-                value = copy_value(value)
-            vec.items.append(value)
+            vec.items.append(_by_value(value))
             return None
         if method == "pop_back":
             _charge(st, cost.pop)
@@ -707,7 +713,7 @@ class _Runtime:
         if isinstance(obj, QueueVal):
             if method == "push":
                 _charge(st, cost.push_amortized)
-                obj.items.append(args[0])
+                obj.items.append(_by_value(args[0]))
                 return None
             if method == "pop":
                 _charge(st, cost.pop)
@@ -724,7 +730,7 @@ class _Runtime:
         if isinstance(obj, StackVal):
             if method == "push":
                 _charge(st, cost.push_amortized)
-                obj.items.append(args[0])
+                obj.items.append(_by_value(args[0]))
                 return None
             if method == "pop":
                 _charge(st, cost.pop)
@@ -739,7 +745,7 @@ class _Runtime:
         if isinstance(obj, PriorityQueueVal):
             _charge(st, cost.tree_op(len(obj)))
             if method == "push":
-                obj.push(args[0])
+                obj.push(_by_value(args[0]))
                 return None
             if method == "pop":
                 obj.pop()

@@ -33,6 +33,16 @@ LIBRARY_TYPES = frozenset({
 })
 
 
+#: Binary operator -> precedence (higher binds tighter), C++'s order;
+#: every level is left-associative.
+_BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7, "<<": 8, ">>": 8,
+    "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+}
+_ADDITIVE = _BINARY_PRECEDENCE["+"]
+
+
 def parse(source: str) -> TranslationUnit:
     """Parse C++ source text into a translation unit AST."""
     return Parser(tokenize(source)).parse_translation_unit()
@@ -423,7 +433,7 @@ class Parser:
         while self._accept_op("<<"):
             # Shift expressions never appear inside cout chains in the
             # corpus, so parse at additive precedence to stop at '<<'.
-            node.values.append(self._parse_additive())
+            node.values.append(self._parse_binary(_ADDITIVE))
         self._expect_punct(";")
         return node
 
@@ -443,7 +453,7 @@ class Parser:
         return left
 
     def _parse_ternary(self) -> Node:
-        cond = self._parse_logical_or()
+        cond = self._parse_binary()
         if self._accept_punct("?"):
             then = self._parse_assignment()
             self._expect_punct(":")
@@ -451,43 +461,23 @@ class Parser:
             return Ternary(cond=cond, then=then, orelse=orelse)
         return cond
 
-    def _binary_level(self, operators: tuple[str, ...], next_level):
-        left = next_level()
-        while self._ts.peek().is_op(*operators):
-            op = self._ts.next().text
-            right = next_level()
-            left = BinaryOp(op=op, left=left, right=right)
-        return left
+    def _parse_binary(self, min_precedence: int = 1) -> Node:
+        """Left-associative binary operators by precedence climbing.
 
-    def _parse_logical_or(self) -> Node:
-        return self._binary_level(("||",), self._parse_logical_and)
-
-    def _parse_logical_and(self) -> Node:
-        return self._binary_level(("&&",), self._parse_bit_or)
-
-    def _parse_bit_or(self) -> Node:
-        return self._binary_level(("|",), self._parse_bit_xor)
-
-    def _parse_bit_xor(self) -> Node:
-        return self._binary_level(("^",), self._parse_bit_and)
-
-    def _parse_bit_and(self) -> Node:
-        return self._binary_level(("&",), self._parse_equality)
-
-    def _parse_equality(self) -> Node:
-        return self._binary_level(("==", "!="), self._parse_relational)
-
-    def _parse_relational(self) -> Node:
-        return self._binary_level(("<", ">", "<=", ">="), self._parse_shift)
-
-    def _parse_shift(self) -> Node:
-        return self._binary_level(("<<", ">>"), self._parse_additive)
-
-    def _parse_additive(self) -> Node:
-        return self._binary_level(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> Node:
-        return self._binary_level(("*", "/", "%"), self._parse_unary)
+        One loop over ``_BINARY_PRECEDENCE`` replaces a cascade of
+        one method per level, so each nested parenthesis costs a fixed
+        handful of Python frames, not one per precedence level.
+        """
+        left = self._parse_unary()
+        while True:
+            tok = self._ts.peek()
+            precedence = (_BINARY_PRECEDENCE.get(tok.text, 0)
+                          if tok.kind is TokenKind.OPERATOR else 0)
+            if precedence < min_precedence:
+                return left
+            self._ts.next()
+            right = self._parse_binary(precedence + 1)
+            left = BinaryOp(op=tok.text, left=left, right=right)
 
     def _parse_unary(self) -> Node:
         tok = self._ts.peek()

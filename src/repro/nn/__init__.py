@@ -14,19 +14,29 @@ reverse-mode autodiff:
   uni/bi/alternating multi-layer stacks of Section IV-C
 * :mod:`repro.nn.gcn` — the GCN baseline encoder
 * :mod:`repro.nn.loss` / :mod:`repro.nn.optim` — BCE and Adam
+* :mod:`repro.nn.policy` — the backends' names and float widths,
+  readable without numpy
+
+Every name below is imported from its submodule on first access
+(:mod:`repro._lazy`), so the serving front door can read
+:mod:`repro.nn.policy` without loading numpy.
 """
 
-from . import backend
-from .gcn import GCN, GraphConv, normalized_adjacency
-from .layers import Embedding, Linear
-from .loss import bce_with_logits
-from .module import Module, Parameter
-from .optim import Adam, Optimizer, clip_grad_norm
-from .rnn import LSTM, LSTMCell
-from .serialize import save_state
-from .tensor import Tensor, no_grad
-from .treelstm import (DIRECTIONS, ChildSumTreeLSTM, ForestSchedule,
-                       TreeLSTMStack, TreeSchedule, schedule_for)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "backend": ("backend",),
+    "tensor": ("Tensor", "no_grad"),
+    "module": ("Module", "Parameter"),
+    "layers": ("Linear", "Embedding"),
+    "rnn": ("LSTM", "LSTMCell"),
+    "treelstm": ("ChildSumTreeLSTM", "TreeLSTMStack", "TreeSchedule",
+                 "ForestSchedule", "schedule_for", "DIRECTIONS"),
+    "gcn": ("GCN", "GraphConv", "normalized_adjacency"),
+    "loss": ("bce_with_logits",),
+    "optim": ("Optimizer", "Adam", "clip_grad_norm"),
+    "serialize": ("save_state",),
+})
 
 __all__ = [
     "Tensor", "no_grad", "Module", "Parameter", "backend",

@@ -51,6 +51,8 @@ import threading
 
 import numpy as np
 
+from .policy import BACKENDS, check_backend
+
 __all__ = [
     "KernelBackend", "BufferPool", "get", "active", "set_backend", "use",
     "default_dtype", "describe",
@@ -433,15 +435,8 @@ class KernelBackend:
 # the two backends + selection
 # ----------------------------------------------------------------------
 _BACKENDS: dict[str, KernelBackend] = {
-    # The default and the float64 reference: within 1e-8 of the
-    # pre-backend inlined code, bitwise with itself across a resume.
-    "numpy64": KernelBackend("numpy64", np.float64, 1e-8),
-    # float32 end-to-end: half the memory traffic, wider SIMD/BLAS.
-    # Agreement with the float64 reference holds at its tolerance
-    # (absolute, on forward activations and gradients of the shipped
-    # model sizes); resume stays bitwise *within* the backend.
-    "numpy32": KernelBackend("numpy32", np.float32, 3e-4),
-}
+    name: KernelBackend(name, getattr(np, dtype), tolerance)
+    for name, (dtype, tolerance) in BACKENDS.items()}
 
 _ACTIVE: KernelBackend = _BACKENDS["numpy64"]
 
@@ -449,12 +444,7 @@ _ACTIVE: KernelBackend = _BACKENDS["numpy64"]
 def get(name: str) -> KernelBackend:
     """The backend called ``name``; raises ``ValueError`` on an unknown
     name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r} (registered: "
-            f"{sorted(_BACKENDS)})") from None
+    return _BACKENDS[check_backend(name)]
 
 
 def active() -> KernelBackend:

@@ -8,7 +8,8 @@ a foreign archive without the header). Paths are normalized to the
 ``.npz`` suffix on *both* ends (``np.savez`` silently appends it, so a
 suffixless path used to save fine and then fail to load). The
 versioned model checkpoints of :mod:`repro.serve.checkpoint` are the
-one format written through here.
+one format written through here; their header alone is read without
+numpy by :mod:`repro.serve.checkpoint_meta`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["save_state", "load_state_with_meta", "load_meta",
-           "METADATA_KEY"]
+__all__ = ["save_state", "load_state_with_meta", "METADATA_KEY"]
 
 METADATA_KEY = "__meta__"
 
@@ -78,16 +78,3 @@ def load_state_with_meta(path, skip_prefix: str | None = None
         if METADATA_KEY in archive.files:
             meta = json.loads(archive[METADATA_KEY].tobytes().decode("utf-8"))
     return state, meta
-
-
-def load_meta(path) -> dict | None:
-    """Only the metadata header — no weight arrays are materialized.
-
-    ``npz`` members load lazily, so peeking at a checkpoint's version or
-    training progress through this stays cheap even for large models.
-    """
-    with np.load(_normalize(path)) as archive:
-        if METADATA_KEY not in archive.files:
-            return None
-        return json.loads(archive[METADATA_KEY].tobytes().decode("utf-8"))
-

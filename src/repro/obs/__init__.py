@@ -14,13 +14,21 @@ Four pieces (see ``docs/observability.md``):
 
 The serving tier's historical ``stats()`` dicts are now *views* over
 this registry — same keys, same numbers, one source of truth.
+
+Every name below is imported from its submodule on first access
+(:mod:`repro._lazy`): a serving worker that records metrics never
+loads ``http.server`` or the training engine.
 """
 
-from .engine_callback import MetricsCallback
-from .expose import MetricsHTTPServer, to_json, to_prometheus
-from .metrics import (Counter, Gauge, Histogram, LATENCY_BUCKETS_S,
-                      MetricsRegistry, merge, relabel)
-from .trace import NULL_TRACE, Span, Tracer
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "LATENCY_BUCKETS_S",
+                "MetricsRegistry", "merge", "relabel"),
+    "trace": ("Tracer", "Span", "NULL_TRACE"),
+    "expose": ("to_prometheus", "to_json", "MetricsHTTPServer"),
+    "engine_callback": ("MetricsCallback",),
+})
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "LATENCY_BUCKETS_S",

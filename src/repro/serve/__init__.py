@@ -47,17 +47,30 @@ config; format v2 additionally carries resumable training state
 and still loads here for inference. The CLI front door is
 ``python -m repro serve`` (JSONL over stdin/stdout, or bulk
 ``--requests``/``--out`` files).
+
+Every name below is imported from its submodule on first access
+(:mod:`repro._lazy`); the cluster tier
+(``ClusterServer``/``ClusterClient``/``Supervisor``/``FaultPlan``) is
+imported from its submodules directly, e.g. ``from repro.serve.cluster
+import ClusterServer``. The front door and supervisor need only the
+numpy-free modules (``cluster``, ``supervisor``, ``protocol``, ``cache``,
+``checkpoint_meta``); see ``docs/serving.md``.
 """
 
-from .batcher import MicroBatcher, Ticket
-from .cache import LruCache, canonical_key
-from .checkpoint import (
-    CHECKPOINT_FORMAT, CHECKPOINT_VERSION, TRAINING_KEY_PREFIX,
-    NotACheckpointError, checkpoint_signature, load_checkpoint,
-    load_training_checkpoint, read_checkpoint_meta, save_checkpoint,
-    save_training_checkpoint,
-)
-from .service import PredictionService, RequestSourceError
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "service": ("PredictionService",),
+    "protocol": ("RequestSourceError",),
+    "batcher": ("MicroBatcher", "Ticket"),
+    "cache": ("LruCache", "canonical_key"),
+    "checkpoint": ("save_checkpoint", "load_checkpoint",
+                   "save_training_checkpoint", "load_training_checkpoint",
+                   "TRAINING_KEY_PREFIX"),
+    "checkpoint_meta": ("read_checkpoint_meta", "checkpoint_signature",
+                        "NotACheckpointError", "CHECKPOINT_FORMAT",
+                        "CHECKPOINT_VERSION"),
+})
 
 __all__ = [
     "PredictionService", "RequestSourceError", "MicroBatcher", "Ticket",
@@ -66,8 +79,3 @@ __all__ = [
     "read_checkpoint_meta", "checkpoint_signature", "NotACheckpointError",
     "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "TRAINING_KEY_PREFIX",
 ]
-
-# The cluster tier (ClusterServer/ClusterClient/Supervisor/FaultPlan)
-# lives in submodules imported on demand — `from repro.serve.cluster
-# import ClusterServer` — so the common single-process import path does
-# not pay for socket/subprocess machinery.

@@ -16,28 +16,41 @@ import hashlib
 from collections import OrderedDict
 from threading import Lock
 
-import numpy as np
-
-from ..core.features import TreeFeatures
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["canonical_key", "LruCache"]
+__all__ = ["canonical_key", "canonical_digest", "LruCache"]
 
 
-def canonical_key(features: TreeFeatures) -> str:
-    """Digest of the canonicalized AST (kinds + topology).
+def _int64_bytes(buffer) -> memoryview:
+    view = memoryview(buffer)
+    if view.itemsize != 8 or view.format not in ("q", "l"):
+        raise TypeError(f"expected an int64 buffer, got format "
+                        f"{view.format!r}")
+    return view
 
-    Pre-order numbering makes the ``(node_ids, parent)`` pair a
-    canonical form: any two sources with the same simplified tree
-    produce byte-identical arrays here.
+
+def canonical_digest(node_ids, parent) -> str:
+    """Digest of a canonicalized AST from its two int64 buffers.
+
+    ``node_ids`` holds the pre-order vocabulary IDs and ``parent`` the
+    parent index of each node (``-1`` for the root). Pre-order
+    numbering makes the pair a canonical form: any two sources with the
+    same simplified tree produce byte-identical buffers. Takes numpy
+    arrays (the worker's :class:`~repro.core.TreeFeatures`) and
+    ``array('q')`` (the cluster router, which never loads numpy) alike.
     """
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(features.node_ids,
-                                       dtype=np.int64).tobytes())
+    digest.update(_int64_bytes(node_ids))
     digest.update(b"|")
-    digest.update(np.ascontiguousarray(features.schedule.parent,
-                                       dtype=np.int64).tobytes())
+    digest.update(_int64_bytes(parent))
     return digest.hexdigest()
+
+
+def canonical_key(features) -> str:
+    """Digest of a featurized tree's canonicalized AST (kinds +
+    topology): :func:`canonical_digest` of its node IDs and its
+    schedule's parent array."""
+    return canonical_digest(features.node_ids, features.schedule.parent)
 
 
 class LruCache:

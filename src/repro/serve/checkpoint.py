@@ -12,7 +12,10 @@ all inside the single archive, using the JSON metadata header of
 :mod:`repro.nn.serialize`. ``load_checkpoint(path)`` therefore
 reconstructs a ready-to-predict model with no sidecar files and no
 re-specified hyper-parameters — the property the serving layer depends
-on for hot checkpoint swaps.
+on for hot checkpoint swaps. The header readers
+(:func:`read_checkpoint_meta`, :func:`checkpoint_signature`) live in
+the numpy-free :mod:`repro.serve.checkpoint_meta` and are re-exported
+here.
 
 Format versions
 ---------------
@@ -43,7 +46,11 @@ from ..core.model import ComparativeModel, model_from_config
 from ..lang.vocab import NodeVocab
 from ..nn import backend as nn_backend
 from ..nn.optim import Optimizer, optimizer_from_state
-from ..nn.serialize import load_meta, load_state_with_meta, save_state
+from ..nn.serialize import load_state_with_meta, save_state
+from .checkpoint_meta import (
+    CHECKPOINT_FORMAT, CHECKPOINT_VERSION, NotACheckpointError,
+    checkpoint_signature, read_checkpoint_meta, validated_meta,
+)
 
 __all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint_meta",
            "save_training_checkpoint", "load_training_checkpoint",
@@ -51,21 +58,9 @@ __all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint_meta",
            "CheckpointDtypeError",
            "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "TRAINING_KEY_PREFIX"]
 
-CHECKPOINT_FORMAT = "repro-model-checkpoint"
-CHECKPOINT_VERSION = 2
-
 #: Archive keys under this prefix are training-only state (optimizer
 #: moment arrays), invisible to inference loads.
 TRAINING_KEY_PREFIX = "__train__."
-
-
-class NotACheckpointError(ValueError):
-    """The archive is not a versioned checkpoint (a foreign ``.npz``).
-
-    Distinct from other ``ValueError``s (e.g. a *newer-version*
-    checkpoint) so a caller can tell an archive that was never a
-    checkpoint from one it cannot read.
-    """
 
 
 class CheckpointDtypeError(ValueError):
@@ -172,18 +167,6 @@ def save_training_checkpoint(engine, path, extra: dict | None = None) -> Path:
     return save_state(arrays, path, meta=meta)
 
 
-def _validated_meta(meta: dict | None, path) -> dict:
-    if meta is None or meta.get("format") != CHECKPOINT_FORMAT:
-        raise NotACheckpointError(
-            f"{path} is not a {CHECKPOINT_FORMAT} archive")
-    version = meta.get("version")
-    if not isinstance(version, int) or version > CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {version!r} is newer than this loader "
-            f"(supports <= {CHECKPOINT_VERSION})")
-    return meta
-
-
 def _rebuild_model(state: dict, meta: dict) -> ComparativeModel:
     vocab = NodeVocab.from_payload(meta["vocab"])
     featurizer = TreeFeaturizer(vocab=vocab)
@@ -206,7 +189,7 @@ def load_checkpoint(path, cast: bool = False) -> ComparativeModel:
     """
     state, meta = load_state_with_meta(path,
                                        skip_prefix=TRAINING_KEY_PREFIX)
-    meta = _validated_meta(meta, path)
+    meta = validated_meta(meta, path)
     _check_dtype(meta, path, cast)
     model = _rebuild_model(state, meta)
     model.eval()
@@ -226,7 +209,7 @@ def load_training_checkpoint(path, cast: bool = False,
     active dtype) — otherwise :class:`CheckpointDtypeError`.
     """
     state, meta = load_state_with_meta(path)
-    meta = _validated_meta(meta, path)
+    meta = validated_meta(meta, path)
     _check_dtype(meta, path, cast)
     training = meta.get("training")
     if not training:
@@ -243,41 +226,3 @@ def load_training_checkpoint(path, cast: bool = False,
             for i in range(int(count))]
     optimizer = optimizer_from_state(model.parameters(), optimizer_meta)
     return model, optimizer, training
-
-
-def read_checkpoint_meta(path) -> dict:
-    """The checkpoint's metadata header (no weight arrays are read)."""
-    return _validated_meta(load_meta(path), path)
-
-
-def checkpoint_signature(path) -> dict:
-    """Identity of one checkpoint *file*: content digest + header facts.
-
-    This is what the serving tier means by "model version". The engine
-    overwrites its periodic checkpoint path in place (atomically, via
-    ``save_state``'s temp-file + rename), so the path alone names a
-    *slot*, not a version; the content digest tells two writes to the
-    same slot apart, and the header's epoch/accuracy make the version
-    human-readable in stats streams and swap logs. Raises exactly like
-    :func:`read_checkpoint_meta` on a torn or corrupted archive — the
-    hot-swap watcher relies on that to reject bad files before any
-    worker restarts onto them.
-    """
-    import hashlib
-
-    path = Path(path)
-    if path.suffix != ".npz":                 # mirror save_state's naming
-        path = path.with_name(path.name + ".npz")
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
-    meta = read_checkpoint_meta(path)
-    extra = meta.get("extra", {})
-    signature = {"path": str(path), "sha": digest,
-                 "format_version": meta["version"],
-                 "dtype": str(meta.get("dtype", "float64"))}
-    for key in ("epochs", "accuracy", "tag"):
-        if key in extra:
-            signature[key] = extra[key]
-    training = meta.get("training") or {}
-    if "epoch" in training:
-        signature["trained_epochs"] = training["epoch"]
-    return signature

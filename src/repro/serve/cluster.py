@@ -35,13 +35,15 @@ shapes, same response shapes — plus three cluster additions:
   ``overloaded`` (the target shard is past its high-water mark — shed,
   not queued), ``deadline_exceeded``, and ``worker_failed``.
 
-**Routing = cache affinity.** The front door featurizes a request's
-first source (memoized) and shards on its canonical-AST hash — the same
+**Routing = cache affinity.** The front door parses a request's first
+source (memoized) and shards on its canonical-AST hash — the same
 digest the per-worker embedding LRU keys on — so resubmissions of a
 tree always land on the worker whose cache already holds it, and the
 per-shard working sets stay disjoint. Sources that fail to parse shard
 on the raw text digest instead: the owning worker produces the
-structured parse error, identically every time.
+structured parse error, identically every time. Routing needs only the
+frontend and the checkpoint header, so the front door process never
+loads numpy (see ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ import json
 import socket
 import threading
 import time
+from array import array
 
-from .cache import LruCache, canonical_key
-from .checkpoint import read_checkpoint_meta
+from ..lang.parser import parse
+from ..lang.simplify import flatten, simplify
+from ..lang.vocab import NodeVocab
+from .cache import LruCache, canonical_digest
+from .checkpoint_meta import read_checkpoint_meta
 from .protocol import (
     ERR_BAD_JSON, ERR_BAD_REQUEST, ERR_OVERLOADED, ERR_SHUTDOWN,
     error_reply, request_sources,
@@ -66,26 +72,34 @@ __all__ = ["ClusterServer", "ClusterClient", "probe"]
 class _Router:
     """source text -> shard index, via the canonical-AST digest.
 
-    Only the *frontend* runs here (parse -> simplify -> vocab IDs from
-    the checkpoint header — no weights, no encoder, no dense
-    adjacency), and the shard is memoized on the raw text's digest, so
-    routing cost per repeated source is one dict lookup. That memo
-    answers every repeat, so the featurizer keeps no cache of its own:
-    a tree is featurized once, hashed and dropped.
+    Only the *frontend* runs here: parse -> simplify -> flatten, then
+    vocabulary IDs from the checkpoint header and the pre-order parent
+    list, hashed by :func:`~repro.serve.cache.canonical_digest` exactly
+    as a worker's cache keys the same tree. No numpy, no weights, no
+    encoder schedule, no adjacency. The shard is memoized on the raw
+    text's digest, so routing a repeated source costs one dict lookup
+    and no tree outlives its routing.
     """
 
     def __init__(self, checkpoint_path, n_shards: int,
                  memo_size: int = 8192):
-        from ..core.features import TreeFeaturizer
-        from ..lang.vocab import NodeVocab
-
         meta = read_checkpoint_meta(checkpoint_path)
-        vocab = NodeVocab.from_payload(meta["vocab"])
-        self._featurizer = TreeFeaturizer(vocab=vocab, cache_size=0)
-        self._lock = threading.Lock()   # the schedule memo is not thread-safe
+        self._vocab = NodeVocab.from_payload(meta["vocab"])
+        self._lock = threading.Lock()   # an unfrozen vocab grows on encode
         self._memo = LruCache(memo_size)
         self.n_shards = n_shards
         self._rr = 0
+
+    def digest(self, source: str) -> str:
+        """The canonical-AST digest a worker's cache keys ``source`` on."""
+        flat = flatten(simplify(parse(source)))
+        parent = array("q", [-1]) * flat.num_nodes
+        for index, children in enumerate(flat.children):
+            for child in children:
+                parent[child] = index
+        with self._lock:
+            node_ids = array("q", self._vocab.encode_all(flat.kinds))
+        return canonical_digest(node_ids, parent)
 
     def shard_for(self, request: dict) -> int:
         sources = request_sources(request)
@@ -100,8 +114,7 @@ class _Router:
         if hit is not None:
             return hit
         try:
-            with self._lock:
-                digest = canonical_key(self._featurizer(anchor))
+            digest = self.digest(anchor)
         except Exception:
             # unparseable: still deterministic, so the same bad source
             # always yields its error from the same worker's cache path

@@ -25,11 +25,9 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 
-from .service import RequestSourceError
-
 __all__ = [
     "ERR_BAD_JSON", "ERR_BAD_REQUEST", "ERR_INTERNAL", "ERR_OVERLOADED",
-    "ERR_DEADLINE", "ERR_WORKER_FAILED", "ERR_SHUTDOWN",
+    "ERR_DEADLINE", "ERR_WORKER_FAILED", "ERR_SHUTDOWN", "RequestSourceError",
     "error_reply", "handle_request", "serve_lines", "request_sources",
 ]
 
@@ -48,6 +46,26 @@ ERR_DEADLINE = "deadline_exceeded"
 ERR_WORKER_FAILED = "worker_failed"
 #: the server is shutting down; the request was not served
 ERR_SHUTDOWN = "shutdown"
+
+
+class RequestSourceError(ValueError):
+    """One source of a request failed featurization (parse error,
+    non-string payload, ...).
+
+    Raised *before* any encoding work happens, so a bad source in the
+    middle of an ``embed_many``/``rank`` list costs nothing and leaves
+    no half-resolved batcher tickets. Carries which source failed
+    (``index``/``label``) and the original exception (``cause``); the
+    message embeds the cause's type name so pre-cluster clients that
+    string-match on e.g. ``"ParseError"`` keep working.
+    """
+
+    def __init__(self, index: int, label: str, cause: Exception):
+        self.index = index
+        self.label = label
+        self.cause = cause
+        super().__init__(
+            f"{label}: {type(cause).__name__}: {cause}")
 
 
 def error_reply(code: str, message: str, request_id=None) -> dict:

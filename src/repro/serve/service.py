@@ -27,28 +27,9 @@ from ..obs.trace import Tracer
 from .batcher import MicroBatcher
 from .cache import LruCache, canonical_key
 from .checkpoint import load_checkpoint
+from .protocol import RequestSourceError
 
-__all__ = ["PredictionService", "RequestSourceError"]
-
-
-class RequestSourceError(ValueError):
-    """One source of a request failed featurization (parse error,
-    non-string payload, ...).
-
-    Raised *before* any encoding work happens, so a bad source in the
-    middle of an ``embed_many``/``rank`` list costs nothing and leaves
-    no half-resolved batcher tickets. Carries which source failed
-    (``index``/``label``) and the original exception (``cause``); the
-    message embeds the cause's type name so pre-cluster clients that
-    string-match on e.g. ``"ParseError"`` keep working.
-    """
-
-    def __init__(self, index: int, label: str, cause: Exception):
-        self.index = index
-        self.label = label
-        self.cause = cause
-        super().__init__(
-            f"{label}: {type(cause).__name__}: {cause}")
+__all__ = ["PredictionService"]
 
 
 class PredictionService:

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from ..obs import metrics as obs_metrics
 from ..obs.metrics import MetricsRegistry
-from .checkpoint import checkpoint_signature
+from .checkpoint_meta import checkpoint_signature
 from .protocol import (
     ERR_DEADLINE, ERR_SHUTDOWN, ERR_WORKER_FAILED, error_reply,
 )
@@ -97,6 +97,7 @@ class WorkerHandle:
         self.state = "starting"          # -> ready -> exiting/draining/dead
         self.retired = False             # replaced by a swap: no restart
         self.model: dict | None = None   # checkpoint signature from hello
+        self.backend: dict | None = None  # kernel backend from hello
         self.pid = proc.pid
         self.hello = threading.Event()
         self.fatal: str | None = None
@@ -363,6 +364,7 @@ class Supervisor:
                 continue
             if "hello" in message:
                 handle.model = message["hello"].get("model")
+                handle.backend = message["hello"].get("backend")
                 handle.pid = message["hello"].get("pid", handle.pid)
                 with self._lock:
                     handle.state = "ready"
@@ -811,8 +813,10 @@ class Supervisor:
         """One aggregated snapshot: supervisor counters + the latest
         polled per-worker ``PredictionService.stats()``."""
         with self._lock:
-            workers = [h.describe() for h in self.routing if h is not None]
+            handles = [h for h in self.routing if h is not None]
+            workers = [h.describe() for h in handles]
             draining = [h.describe() for h in self._draining]
+            handles += self._draining
             signature = dict(self.current_signature)
             events = list(self.events[-10:])
         counters = {name: int(self._counters.labels(name).value)
@@ -834,17 +838,11 @@ class Supervisor:
             encoder = service.get("encoder", {})
             totals["trees_encoded"] += encoder.get("trees_encoded", 0)
             totals["requests"] += service.get("requests", {}).get("total", 0)
-        # The workers' kernel backend + dtype (polled from their service
-        # stats; they inherit REPRO_BACKEND through the environment), so
-        # the --stats-every JSONL stream attributes throughput to the
-        # right configuration. Falls back to this process's backend
-        # before the first worker poll completes.
-        backend = next(((w.get("service") or {}).get("backend")
-                        for w in workers + draining
-                        if (w.get("service") or {}).get("backend")), None)
-        if backend is None:
-            from ..nn import backend as nn_backend
-            backend = nn_backend.describe()
+        # The workers' kernel backend + dtype (announced in their hello;
+        # they inherit REPRO_BACKEND through the environment), so the
+        # --stats-every JSONL stream attributes throughput to the right
+        # configuration. Empty until the first worker is ready.
+        backend = next((h.backend for h in handles if h.backend), {})
         return {"uptime_s": time.monotonic() - self._started,
                 "checkpoint": signature, "shards": self.n_shards,
                 "backend": dict(backend),

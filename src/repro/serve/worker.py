@@ -13,9 +13,10 @@ envelope that carries the supervisor's ticket id::
 Boot handshake (first line the worker ever writes):
 
 * success — ``{"hello": {"pid": ..., "model": <checkpoint signature>,
-  "encoder": ...}}``; the supervisor only routes to a worker after its
-  hello, which is what makes blue/green rotation safe: a replacement
-  that cannot load its checkpoint never receives a single ticket.
+  "backend": <kernel backend>, "encoder": ...}}``; the supervisor
+  only routes to a worker after its hello, which is what makes
+  blue/green rotation safe: a replacement that cannot load its
+  checkpoint never receives a single ticket.
 * failure — ``{"fatal": "<reason>"}`` and exit code 3 (e.g. a corrupt
   checkpoint; the supervisor aborts the swap and keeps the old worker).
 
@@ -67,10 +68,11 @@ def main(argv: list[str] | None = None) -> int:
     # Import after argparse so --help stays instant; boot errors from
     # here on are reported through the fatal line, never a bare
     # traceback the supervisor would have to scrape.
+    from ..nn import backend as nn_backend
+    from .checkpoint_meta import checkpoint_signature
     from .faults import FaultPlan
     from .protocol import ERR_DEADLINE, error_reply, handle_request
     from .service import PredictionService
-    from .checkpoint import checkpoint_signature
 
     try:
         plan = FaultPlan.from_json(args.faults)
@@ -87,6 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     _emit({"hello": {"pid": os.getpid(), "model": signature,
+                     "backend": nn_backend.describe(),
                      "encoder": service.model.config.get("encoder_kind")
                      if isinstance(getattr(service.model, "config", None),
                                    dict) else None}})

@@ -778,14 +778,19 @@ class Interpreter:
         raise RuntimeFault(
             f"no method {method!r} on {type(obj).__name__}")
 
+    @staticmethod
+    def _by_value(value):
+        """A pushed pair or container is stored as a copy (empty ones
+        too); only ``push_back`` charges for it."""
+        return copy_value(value) if isinstance(value, _COMPOSITES) else value
+
     def _vector_method(self, vec: VectorVal, method: str, args: list):
         if method in ("push_back", "emplace_back"):
             self._charge(self.cost.push_amortized)
             value = args[0]
             if container_size(value):
                 self._charge(self.cost.copy_cost(container_size(value)))
-                value = copy_value(value)
-            vec.items.append(value)
+            vec.items.append(self._by_value(value))
             return None
         if method == "pop_back":
             self._charge(self.cost.pop)
@@ -920,7 +925,7 @@ class Interpreter:
         if isinstance(obj, QueueVal):
             if method == "push":
                 self._charge(self.cost.push_amortized)
-                obj.items.append(args[0])
+                obj.items.append(self._by_value(args[0]))
                 return None
             if method == "pop":
                 self._charge(self.cost.pop)
@@ -937,7 +942,7 @@ class Interpreter:
         if isinstance(obj, StackVal):
             if method == "push":
                 self._charge(self.cost.push_amortized)
-                obj.items.append(args[0])
+                obj.items.append(self._by_value(args[0]))
                 return None
             if method == "pop":
                 self._charge(self.cost.pop)
@@ -952,7 +957,7 @@ class Interpreter:
         if isinstance(obj, PriorityQueueVal):
             self._charge(self.cost.tree_op(len(obj)))
             if method == "push":
-                obj.push(args[0])
+                obj.push(self._by_value(args[0]))
                 return None
             if method == "pop":
                 obj.pop()

@@ -779,6 +779,23 @@ CPP_OUTPUTS = {
             pair<vector<int>, int> e;
             cout << m.count(e) << m[e];
         }""", ["00 00", "33 12", "44 15"]),
+    # a push stores a copy: changing the variable afterwards leaves the
+    # pushed pair or (empty) container as it was
+    "push_stores_a_copy": ("""
+        int main() {
+            int n; cin >> n;
+            vector<pair<int, int>> v;
+            queue<pair<int, int>> q;
+            vector<vector<int>> g;
+            pair<int, int> p;
+            vector<int> row;
+            v.push_back(p);
+            q.push(p);
+            g.push_back(row);
+            p.first = 5;
+            for (int i = 0; i < n; i++) row.push_back(i);
+            cout << v[0].first << q.front().first << g[0].size();
+        }""", ["000", "000", "000"]),
 }
 
 

@@ -309,6 +309,26 @@ class TestContainers:
                   "b.push_back(2); cout << a.size() << b.size(); }")
         assert out == "12"
 
+    @pytest.mark.parametrize("source", [
+        # a pair pushed, then the variable changed: g++ prints 0
+        "int main() { vector<pair<int, int>> v; pair<int, int> p; "
+        "v.push_back(p); p.first = 5; cout << v[0].first; }",
+        # the same through a queue
+        "int main() { queue<pair<int, int>> q; pair<int, int> p; "
+        "q.push(p); p.first = 5; cout << q.front().first; }",
+        # an empty row pushed, then grown
+        "int main() { vector<vector<int>> g; vector<int> row; "
+        "g.push_back(row); row.push_back(1); cout << g[0].size(); }",
+        "int main() { stack<pair<int, int>> s; pair<int, int> p; "
+        "s.push(p); p.first = 5; cout << s.top().first; }",
+        "int main() { priority_queue<pair<int, int>> q; pair<int, int> p; "
+        "q.push(p); p.first = 5; cout << q.top().first; }",
+        "int main() { vector<vector<int>> g; vector<int> row; "
+        "g.emplace_back(row); row.push_back(1); cout << g[0].size(); }",
+    ])
+    def test_push_stores_a_copy(self, source):
+        assert run(source) == "0"
+
 
 class TestContainerComparisons:
     """Two vectors compare as std::vector does and two pairs member-wise,

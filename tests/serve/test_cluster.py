@@ -237,16 +237,19 @@ class TestShardAffinity:
 
     def test_router_keeps_no_trees_and_builds_no_adjacency(
             self, checkpoint, monkeypatch):
-        # The shard memo answers every repeat, so the router's
-        # featurizer caches nothing; routing never needs the GCN's
-        # dense adjacency.
+        # The shard memo answers every repeat and holds shard numbers
+        # only; routing parses and hashes, so it never builds the GCN's
+        # dense adjacency or an encoder schedule, and leaves the
+        # process-wide schedule memo as it found it.
         from repro.core import features
+        from repro.nn import treelstm
         from repro.serve.cluster import _Router
 
         def refuse(num_nodes, edges):
             raise AssertionError("the router built a dense adjacency")
 
         monkeypatch.setattr(features, "normalized_adjacency", refuse)
+        monkeypatch.setattr(treelstm, "_SCHEDULE_CACHE", {})
         router = _Router(checkpoint, n_shards=2)
         sources = variants(4)
         shards = [router.shard_for({"op": "embed", "source": s})
@@ -254,7 +257,37 @@ class TestShardAffinity:
         assert [router.shard_for({"op": "compare", "first": s,
                                   "second": sources[0]})
                 for s in sources] == shards
-        assert router._featurizer._cache == {}
+        assert treelstm._SCHEDULE_CACHE == {}
+        assert all(type(shard) is int
+                   for shard in router._memo._data.values())
+
+    def test_router_digest_is_the_worker_cache_key(self, checkpoint):
+        # Affinity holds only if the front door's numpy-free digest is
+        # byte-for-byte the key a worker's embedding cache uses.
+        from repro.core import TreeFeaturizer
+        from repro.corpus.registry import (TABLE1_TAGS, family_for_tag,
+                                           mp_families)
+        from repro.corpus.styles import Style
+        from repro.lang.vocab import NodeVocab
+        from repro.serve import canonical_key, read_checkpoint_meta
+        from repro.serve.cluster import _Router
+
+        router = _Router(checkpoint, n_shards=2)
+        featurize = TreeFeaturizer(NodeVocab.from_payload(
+            read_checkpoint_meta(checkpoint)["vocab"]))
+        families = ([family_for_tag(tag, scale=0.1) for tag in TABLE1_TAGS]
+                    + mp_families(count=6, scale=0.1))
+        sources = []
+        for family in families:
+            sources += [family.generate(np.random.default_rng(seed)).source
+                        for seed in (0, 1)]
+            sources += [family.emit_solution(
+                np.random.default_rng(5),
+                Style(np.random.default_rng(style_seed))).source
+                for style_seed in (11, 12, 13)]
+        assert len(set(sources)) > 60
+        for source in sources:
+            assert router.digest(source) == canonical_key(featurize(source))
 
 
 class TestOverloadShedding:
