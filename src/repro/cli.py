@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -486,6 +487,11 @@ def _cmd_serve_cluster(args) -> int:
         port=int(port), config=config,
         stats_stream=sys.stderr if args.stats_every > 0 else None,
         metrics_port=args.metrics_port)
+    # docker stop and process managers ask with SIGTERM: drain the way
+    # Ctrl-C does (serve_forever answers in-flight and parked tickets
+    # with `shutdown` and reaps the workers). SIGINT stays as inherited,
+    # so a shell's background job keeps ignoring Ctrl-C.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     with server:
         server.start()
         bound_host, bound_port = server.address

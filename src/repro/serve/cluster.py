@@ -37,12 +37,16 @@ shapes, same response shapes — plus three cluster additions:
 
 **Routing = cache affinity.** The front door parses a request's first
 source (memoized) and shards on its canonical-AST hash — the same
-digest the per-worker embedding LRU keys on — so resubmissions of a
-tree always land on the worker whose cache already holds it, and the
-per-shard working sets stay disjoint. Sources that fail to parse shard
-on the raw text digest instead: the owning worker produces the
-structured parse error, identically every time. Routing needs only the
-frontend and the checkpoint header, so the front door process never
+digest the per-worker embedding LRU keys on — so every request whose
+first source is a given tree lands on the same worker, and a repeated
+request finds all its trees in that worker's cache. Only the first
+source routes: the other sources of a ``compare`` or ``rank`` are
+featurized and cached on the same worker, so a tree that comes second
+under first sources of different shards is cached, and encoded, on
+each of them; the per-shard working sets overlap. Sources that fail to
+parse shard on the raw text digest instead: the owning worker produces
+the structured parse error, identically every time. Routing needs only
+the frontend and the checkpoint header, so the front door process never
 loads numpy (see ``docs/serving.md``).
 """
 
@@ -211,7 +215,8 @@ class ClusterServer:
         self.close()
 
     def serve_forever(self) -> None:  # pragma: no cover - CLI loop
-        """Block until interrupted (the CLI's foreground mode)."""
+        """Block until interrupted (the CLI's foreground mode, where
+        SIGTERM interrupts the same way Ctrl-C does)."""
         try:
             while not self._closed:
                 time.sleep(0.2)

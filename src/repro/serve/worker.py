@@ -30,6 +30,9 @@ alive but not answering.
 Ticket ids starting with ``!`` are supervisor-internal (pings, stats
 polls): they bypass fault injection and the request deadline check so
 health-checking measures injected faults instead of perturbing them.
+
+A worker runs one OS thread, BLAS included: the supervisor provides
+concurrency across workers, so ``--workers`` is the one unit of scale.
 """
 
 from __future__ import annotations
@@ -40,7 +43,11 @@ import os
 import sys
 import time
 
-__all__ = ["main"]
+__all__ = ["BLAS_THREAD_VARS", "main"]
+
+#: The variables that size numpy's BLAS thread pool; a worker pins both
+#: to 1 unless the operator has set either (see ``main``).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _emit(obj: dict) -> None:
@@ -64,6 +71,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--faults", default=None,
                         help="JSON FaultPlan (chaos testing only)")
     args = parser.parse_args(argv)
+
+    # One BLAS thread: the worker count is the cluster's one unit of
+    # parallelism, and OpenBLAS helper threads spin after each
+    # multi-threaded matmul, taking the CPU the front door and the other
+    # workers need. OpenBLAS sizes its pool when numpy loads, so this
+    # comes before the first import below; an operator who sets either
+    # variable keeps their value.
+    if not any(name in os.environ for name in BLAS_THREAD_VARS):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
     # Import after argparse so --help stays instant; boot errors from
     # here on are reported through the fatal line, never a bare

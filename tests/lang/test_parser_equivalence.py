@@ -48,8 +48,9 @@ def _family_id(family) -> str:
     return f"{family.tag}-{type(family).__name__}"
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
-def test_family_programs_variants_and_mutants(family):
+def family_sources(family) -> list[str]:
+    """Two generated programs, three style variants of the reference
+    solution and three dead-code mutants of the first program."""
     sources = [family.generate(np.random.default_rng(seed)).source
                for seed in (0, 1)]
     sources += [family.emit_solution(np.random.default_rng(5),
@@ -57,11 +58,16 @@ def test_family_programs_variants_and_mutants(family):
                 for seed in (11, 12, 13)]
     sources += [m.source for m in generate_dead_mutants(sources[0], seed=7,
                                                         count=3)]
-    for source in sources:
+    return sources
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
+def test_family_programs_variants_and_mutants(family):
+    for source in family_sources(family):
         assert not isinstance(assert_same_parse(source), tuple)
 
 
-@pytest.mark.parametrize("expression", [
+EXPRESSIONS = [
     "a || b && c | d ^ e & f == g != h < i >= j << k >> l + m - n * o / p % q",
     "a * b + c * d - e / f % g",
     "a - b - c - d",
@@ -69,21 +75,31 @@ def test_family_programs_variants_and_mutants(family):
     "!a && -b || ~c",
     "a ? b : c ? d : e",
     "x = y += a & b | c",
-])
+]
+
+
+def expression_program(expression: str) -> str:
+    return (f"int main() {{ int a, b, c, d, e, f, g, h, i, j, k, l, "
+            f"m, n, o, p, q, x, y; x = {expression}; "
+            f"cout << {expression.split(' ? ')[0]} << endl; }}")
+
+
+@pytest.mark.parametrize("expression", EXPRESSIONS)
 def test_precedence_table_matches_cascade(expression):
-    assert_same_parse(f"int main() {{ int a, b, c, d, e, f, g, h, i, j, k, l, "
-                      f"m, n, o, p, q, x, y; x = {expression}; "
-                      f"cout << {expression.split(' ? ')[0]} << endl; }}")
+    assert_same_parse(expression_program(expression))
 
 
-@pytest.mark.parametrize("source", [
+BAD_SOURCES = [
     "int main() { return 1 + ; }",
     "int main() { return (1 + 2; }",
     "int main() { cout << 1 << ; }",
     "int main() { x = a ? b ; }",
     "int main() { return 1 2; }",
     "int main() { return * 3; }",
-])
+]
+
+
+@pytest.mark.parametrize("source", BAD_SOURCES)
 def test_errors_match_cascade(source):
     assert isinstance(assert_same_parse(source), tuple)
 

@@ -19,9 +19,13 @@ import io
 import json
 import os
 import shutil
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ from ..helpers import backend_tolerance
 from .test_service_e2e import variants
 
 pytestmark = pytest.mark.slow      # spawns worker subprocesses
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def fast_config(**overrides):
@@ -582,6 +588,39 @@ class TestStatsStream:
             assert set(snapshot["counters"]) >= {"dispatched", "replied"}
             assert "cache_rejected" in snapshot["totals"]
         assert lines[-1]["totals"]["cache_rejected"] >= 8
+
+
+class TestSigtermDrain:
+    def test_cli_front_door_drains_on_sigterm(self, checkpoint):
+        """`docker stop` sends SIGTERM: the CLI front door shuts down the
+        way Ctrl-C does, so its workers are reaped, `--stats` prints and
+        the process exits 0."""
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model",
+             str(checkpoint), "--workers", "2", "--listen", "127.0.0.1:0",
+             "--stats"], stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            banner = proc.stderr.readline()
+            assert "cluster: 2 workers on " in banner, banner
+            host, _, port = banner.split("workers on ")[1].split()[0] \
+                .rpartition(":")
+            with ClusterClient((host, int(port))) as client:
+                pids = [w["pid"] for w in client.request(
+                    {"op": "cluster_stats"})["stats"]["workers"]]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            stats = json.loads(proc.stderr.read())
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert stats["shards"] == 2
+        assert len(pids) == 2
+        assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
 
 
 class TestChaos:

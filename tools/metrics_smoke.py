@@ -4,7 +4,8 @@ the CLI with ``--metrics-port``, serve a handful of JSONL requests over
 TCP, scrape ``/metrics`` over HTTP, and assert the request counters
 moved. Exercises the full wire path a production Prometheus would see:
 CLI flag -> supervisor metrics poll -> shard relabel + merge -> text
-exposition.
+exposition. Then stop the server with SIGTERM, as ``docker stop`` does,
+and assert that it drains and exits 0.
 
 Run from the repository root (CI wires this next to archlint)::
 
@@ -142,12 +143,18 @@ def main() -> int:
             print(f"scrape OK: repro_serve_requests_total={served:g} "
                   "across shards, histogram + cache families present")
         finally:
+            # SIGTERM, as `docker stop` sends it: the front door drains
+            # and exits 0.
             proc.terminate()
             try:
-                proc.wait(timeout=15)
+                code = proc.wait(timeout=15)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=15)
+                raise AssertionError("server did not exit within 15 s "
+                                     "of SIGTERM")
+        assert code == 0, f"server exited {code} on SIGTERM, not 0"
+        print("SIGTERM: server drained and exited 0")
     print("metrics smoke passed")
     return 0
 
